@@ -82,6 +82,7 @@ class QoRPredictor:
         self.model.clear_inference_caches()
 
     def _lowered(self, source: str) -> IRFunction:
+        """The IR of ``source``, lowered once per distinct source text."""
         function = self._lowered_sources.get(source)
         if function is None:
             function = lower_source(source)

@@ -13,8 +13,9 @@ different disjoint-union sizes.  The coordinator therefore preserves chunk
 compositions instead of relying on purity: the resuming sweep partitions
 the **full** wanted set exactly as a clean run would, drops
 already-checkpointed work only in *whole chunks* of that canonical layout
-(checkpoint records are chunk-granular because results stream per whole
-chunk), and recovers missing work one original chunk per batch — so every
+(checkpoint records are chunk-granular: results stream per whole chunk, and
+:meth:`CheckpointWriter.record_chunk` checks the save interval only between
+chunks), and recovers missing work one original chunk per batch — so every
 ``predict_batch`` call that still runs sees the same composition the
 uninterrupted sweep gave it.  Predictions persist through JSON, whose
 ``repr``-based float encoding round-trips float64 exactly, and the merged
@@ -205,9 +206,9 @@ def load_checkpoint(
 class CheckpointWriter:
     """Accumulates scored predictions and persists them periodically.
 
-    The coordinator calls :meth:`record` for every prediction it folds in
-    (streamed, recovered or resumed-from-checkpoint alike); every
-    ``interval`` *newly* recorded configurations trigger an atomic
+    The coordinator calls :meth:`record_chunk` for every chunk it folds in
+    (streamed or recovered alike); once ``interval`` *newly* recorded
+    configurations have accumulated, the next check triggers an atomic
     :func:`save_checkpoint`.  ``on_save`` is the fault-injection hook: it
     runs after each persisted write with the running save count, so a test
     can kill the coordinator at a point where a valid checkpoint is
@@ -237,10 +238,19 @@ class CheckpointWriter:
 
     def record(self, config_id: int, metrics: dict[str, float]) -> None:
         """Fold one scored configuration in; persist every ``interval``."""
-        if config_id in self.scored:
-            return
-        self.scored[config_id] = metrics
-        self._since_save += 1
+        self.record_chunk([(config_id, metrics)])
+
+    def record_chunk(self, pairs) -> None:
+        """Fold ``(config_id, metrics)`` pairs in whole, then persist if due.
+
+        The interval is checked once, after the last pair, so a save never
+        splits the chunk the pairs came from — which keeps every checkpoint
+        a union of whole chunks of the sweep's layout.
+        """
+        for config_id, metrics in pairs:
+            if config_id not in self.scored:
+                self.scored[config_id] = metrics
+                self._since_save += 1
         if self._since_save >= self.interval:
             self.save()
 

@@ -2,26 +2,25 @@
 
 The batched inference engine (:meth:`HierarchicalQoRModel.predict_batch`)
 scores a whole design space in one process; this module scales it across
-worker **processes**:
+worker **processes** with one engine:
 
 1. :func:`partition_space` splits a :class:`~repro.dse.space.DesignSpace`
-   into balanced shards (``round-robin`` or ``pragma-locality``);
-2. each shard runs in a worker process (:func:`shard_worker`, a module-level
-   — hence spawn-safe — entrypoint) that bootstraps its *own*
+   into balanced shards (``round-robin`` or ``pragma-locality``), and the
+   coordinator (:class:`ShardedExplorer`) cuts every shard into
+   ``chunk_size`` chunks — the sweep's canonical **chunk layout**;
+2. worker processes run :func:`shard_worker` (a module-level — hence
+   spawn-safe — entrypoint): each bootstraps its *own*
    :class:`~repro.core.predictor.QoRPredictor` from a saved model file,
-   re-lowers the kernel source, and scores its configurations with
-   ``predict_batch`` chunk by chunk, streaming ``(config_id, prediction)``
-   pairs back over a queue;
-3. the coordinator (:class:`ShardedExplorer`) folds each shard's stream into
-   a per-shard :class:`~repro.dse.pareto.ParetoFront` and merges the fronts
-   with :func:`~repro.dse.pareto.merge_fronts`.
-
-With ``work_stealing=True`` step 2 runs over a **shared chunk queue**
-instead of fixed assignments: every shard is cut into ``chunk_size`` chunks
-enqueued in shard order, and each worker (:func:`stealing_worker`) pulls the
-next chunk the moment it finishes one — early finishers steal the chunks a
-skewed partition would have stranded on a straggler, while the
-partition-invariant merge keeps the front bit-identical either way.
+   re-lowers the kernel source, and drains chunks from a task queue through
+   ``predict_batch``, streaming ``(config_id, prediction)`` pairs back.
+   The queue topology is the only difference between the dispatch modes:
+   by default every worker drains a private queue pre-filled with its
+   shard's chunks; with ``work_stealing=True`` all workers drain one shared
+   queue filled in shard order, so early finishers take the chunks a
+   skewed partition would have stranded on a straggler;
+3. the coordinator folds each worker's stream into a
+   :class:`~repro.dse.pareto.ParetoFront` and merges the fronts with
+   :func:`~repro.dse.pareto.merge_fronts`.
 
 **Dedup mode.**  By default the coordinator first partitions the space into
 HLS-equivalence classes (:meth:`~repro.dse.space.DesignSpace.dedup`):
@@ -40,9 +39,9 @@ restores the exhaustive sweep.
 
 * the *merge* is bit-exact: :class:`~repro.dse.pareto.ParetoFront` is a pure
   function of the ``(objectives, config_id)`` multiset, so shard count,
-  shard strategy, chunk size and message arrival order cannot change the
-  merged front — it is identical, member for member and in the same
-  canonical order, to one front fed every prediction directly;
+  shard strategy, chunk size, queue topology and message arrival order
+  cannot change the merged front — it is identical, member for member and
+  in the same canonical order, to one front fed every prediction directly;
 * the *predictions* agree with the single-process batched engine to within
   1e-9 relative (typically bit-exact).  Workers load the same weights and
   run the same deterministic numpy arithmetic; the residual last-ulp
@@ -69,19 +68,21 @@ restores the exhaustive sweep.
   guarantee, and full **bit-equality**
   (:func:`~repro.dse.pareto.fronts_bit_equal` — objectives included)
   holds between any two sweeps that score identical chunk compositions:
-  repeated runs, fixed vs work-stealing fleets over the same shards,
+  repeated runs, both queue topologies over the same shards,
   crashed-and-recovered vs clean fleets, resumed vs uninterrupted sweeps,
-  and dedup vs exhaustive sweeps in one process.  :func:`fronts_equivalent` (tolerating duplicate
-  swaps) remains only for the raw-directives differential path —
-  ``dedup=False`` under a signature-blind distribution — which
-  reintroduces the duplicate-tie ambiguity that canonicalization
-  removes.
+  and dedup vs exhaustive sweeps in one process.  :func:`fronts_equivalent`
+  (tolerating duplicate swaps) remains only for the raw-directives
+  differential path — ``dedup=False`` under a signature-blind
+  distribution — which reintroduces the duplicate-tie ambiguity that
+  canonicalization removes.
 
-**Failure handling.**  A worker that dies mid-shard (crash, OOM-kill) simply
+**Failure handling.**  A worker that dies mid-sweep (crash, OOM-kill) simply
 stops streaming: the coordinator notices the process is gone without a
 completion message, drains whatever the worker did deliver, and re-scores
-the missing configurations in-process, so the sweep always completes with
-the exact same front.
+every chunk no worker delivered in-process, so the sweep always completes
+with the exact same front.  A lost chunk is charged to the queue it was on:
+to that worker for a private queue, to one trailing coordinator report for
+the shared queue.
 
 **Checkpoint/resume.**  With ``checkpoint=PATH`` the coordinator persists
 every scored prediction through :class:`~repro.dse.checkpoint.CheckpointWriter`
@@ -92,17 +93,17 @@ Bit-equality with an uninterrupted sweep is achieved **by construction**:
 predictions carry last-ulp sensitivity to ``predict_batch`` composition
 (BLAS kernel dispatch varies with the disjoint-union size), so the resumed
 run reproduces the clean run's exact chunk compositions — the partition is
-computed over the *full* wanted set exactly as a clean run would, already-
-scored work is dropped only in **whole chunks** of that canonical layout
-(checkpoint records are chunk-granular, results stream per whole chunk),
-and in-process recovery re-scores missing work one original chunk per
-batch.  Checkpointed predictions round-trip exactly through JSON's
-``repr``-based float encoding, and the merge is a pure function of the
-``(objectives, config_id)`` multiset — so the resumed front is bit-equal
-(:func:`~repro.dse.pareto.fronts_bit_equal`) to the uninterrupted one.
-The fault-injection differential tests (``repro.testing.faults``) assert
-exactly this for fleets killed, stalled and aborted mid-sweep in both
-dispatch modes.
+computed over the *full* wanted set exactly as a clean run would, and
+already-scored work is dropped only in **whole chunks** of that canonical
+layout: the coordinator folds every delivered or recovered chunk into the
+writer whole before the save interval is checked, so a checkpoint is always
+a union of whole chunks.  Checkpointed predictions round-trip exactly
+through JSON's ``repr``-based float encoding, and the merge is a pure
+function of the ``(objectives, config_id)`` multiset — so the resumed front
+is bit-equal (:func:`~repro.dse.pareto.fronts_bit_equal`) to the
+uninterrupted one.  The fault-injection differential tests
+(``repro.testing.faults``) assert exactly this for fleets killed, stalled
+and aborted mid-sweep under both queue topologies.
 
 **Warm-cache write-back.**  With ``write_back=True`` every worker ships the
 construction-cache / prediction-memo entries *it* built (a bounded,
@@ -140,11 +141,10 @@ from repro.dse.pareto import (
 )
 from repro.dse.space import DesignSpace
 from repro.flags import normalize_precision
-from repro.frontend.pragmas import PragmaConfig
 from repro.graph.cache import GraphConstructionCache
 from repro.graph.hierarchy import decomposition_signature
 from repro.ir.builder import lower_source
-from repro.testing.faults import InjectedFault, normalize_fault
+from repro.testing.faults import FaultPlan, InjectedFault, WorkerFault
 
 #: the shard strategies understood by :func:`partition_space`
 SHARD_STRATEGIES: tuple[str, ...] = ("round-robin", "pragma-locality")
@@ -157,6 +157,9 @@ DEFAULT_CHUNK_SIZE = 32
 #: — they are simply rebuilt by a later sweep instead of banked; the bound
 #: keeps one queue message from ballooning on enormous spaces
 WRITE_BACK_MAX_ENTRIES = 8192
+
+#: end marker the coordinator reads its task queues back up to at cleanup
+_DRAINED = "drained"
 
 #: relative agreement guaranteed between worker-process and single-process
 #: predictions (see the determinism notes in the module docstring); the
@@ -328,120 +331,52 @@ def _bounded_warm_delta(predictor: QoRPredictor) -> dict:
 
 
 def shard_worker(
-    shard_id: int,
-    model_path: str,
-    source: str,
-    warm_caches: bool,
-    items: list[tuple[int, PragmaConfig]],
-    results: multiprocessing.Queue,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    fault=None,
-    precision: str = "float64",
-    write_back: bool = False,
-) -> None:
-    """Worker-process entrypoint: score one shard and stream results back.
-
-    Module-level (importable by name), with picklable arguments only, so it
-    runs under any multiprocessing start method including ``spawn``.  The
-    worker owns its whole pipeline: it loads a
-    :class:`~repro.core.predictor.QoRPredictor` once from ``model_path``
-    (optionally adopting the persisted warm caches), re-lowers ``source``
-    (deterministic, so cache fingerprints agree with every other process),
-    and scores its configurations in chunks of ``chunk_size`` through
-    ``predict_batch`` — the construction cache persists across chunks, so
-    chunking costs no repeated graph building.  The vectorized encoding
-    pipeline rides along for free: each worker shares the single
-    ``make_batch`` union encoder with cold sweeps and training, and its
-    outer-graph sample templates and unit samples likewise persist across
-    chunks (the ``outer_templates`` counter in the streamed cache stats
-    shows how many deltas each worker captured).
-
-    Messages on ``results``: ``("results", shard_id, [(config_id, metrics),
-    ...])`` per chunk, with ``write_back`` one ``("caches", shard_id,
-    delta)`` carrying the bounded newly-warmed-cache delta, then ``("done",
-    shard_id, cache_stats)``; on an internal error, ``("error", shard_id,
-    traceback_text)`` and a non-zero exit.  ``fault`` is the injection
-    hook: an int (legacy: hard-exit after N configs) or a
-    :class:`~repro.testing.faults.WorkerFault` descriptor, consulted
-    between chunks (kill / stall / drop — a kill is ``os._exit``, nothing
-    flushed, exactly like a real crash).  ``precision`` selects the
-    inference tier each worker casts its weights into at load time
-    (``"float64"`` default).
-    """
-    try:
-        fault = normalize_fault(fault)
-        predictor = QoRPredictor.load(
-            model_path, warm_caches=warm_caches, precision=precision
-        )
-        function = lower_source(source)
-        completed = 0
-        chunk_index = 0
-        for start in range(0, len(items), max(1, chunk_size)):
-            if fault is not None and fault.should_kill(chunk_index, completed):
-                os._exit(3)  # simulate a hard crash: nothing is flushed
-            if fault is not None and fault.stalls_at(chunk_index):
-                time.sleep(fault.stall_seconds)
-            chunk = items[start:start + max(1, chunk_size)]
-            metrics_list = predictor.predict_batch(
-                function, [config for _, config in chunk]
-            )
-            if fault is None or not fault.drops(chunk_index):
-                results.put((
-                    "results", shard_id,
-                    [
-                        (config_id, metrics)
-                        for (config_id, _), metrics in zip(chunk, metrics_list)
-                    ],
-                ))
-            completed += len(chunk)
-            chunk_index += 1
-        if write_back:
-            results.put(("caches", shard_id, _bounded_warm_delta(predictor)))
-        results.put(("done", shard_id, predictor.cache_stats()))
-    except BaseException:
-        results.put(("error", shard_id, traceback.format_exc()))
-        raise
-
-
-def stealing_worker(
     worker_id: int,
     model_path: str,
     source: str,
     warm_caches: bool,
     tasks: multiprocessing.Queue,
     results: multiprocessing.Queue,
-    fault=None,
+    fault: WorkerFault | None = None,
     precision: str = "float64",
     write_back: bool = False,
 ) -> None:
-    """Work-stealing worker: drain chunks from a shared queue until sentinel.
+    """Worker-process entrypoint: drain chunks from ``tasks`` until sentinel.
 
-    The counterpart of :func:`shard_worker` for the work-stealing mode: no
-    work is pre-assigned — every worker pulls the next chunk
-    (``[(config_id, config), ...]``) from ``tasks`` as soon as it finishes
-    the previous one, so an early-finishing worker keeps stealing chunks
-    that a fixed partition would have left on a straggler.  ``tasks``
-    carries exactly one ``None`` sentinel per worker after the chunks;
-    consuming one ends the worker with a ``("done", worker_id,
-    cache_stats)`` message (preceded, with ``write_back``, by its bounded
-    ``("caches", ...)`` delta).  Message protocol and crash semantics
-    otherwise match :func:`shard_worker`: ``fault`` takes the same int /
-    :class:`~repro.testing.faults.WorkerFault` hook, with chunk indices
-    counted in pull order.  ``precision`` selects the inference tier each
-    worker casts its weights into at load time.
+    Module-level (importable by name), with picklable arguments only, so it
+    runs under any multiprocessing start method including ``spawn``.  The
+    worker owns its whole pipeline: it loads a
+    :class:`~repro.core.predictor.QoRPredictor` once from ``model_path``
+    (optionally adopting the persisted warm caches) in the ``precision``
+    tier, re-lowers ``source`` (deterministic, so cache fingerprints agree
+    with every other process), and scores each ``[(config_id, config),
+    ...]`` chunk it reads from ``tasks`` through ``predict_batch`` until it
+    reads a ``None`` sentinel.  Whether ``tasks`` is private to this worker
+    or shared by the fleet is the coordinator's choice; the worker cannot
+    tell.  The construction cache, outer-graph sample templates and unit
+    samples persist across chunks, so chunking costs no repeated graph
+    building (the ``outer_templates`` counter in the streamed cache stats
+    shows how many deltas each worker captured).
+
+    Messages on ``results`` (the only call made on it is ``put``):
+    ``("results", worker_id, [(config_id, metrics), ...])`` per chunk, with
+    ``write_back`` one ``("caches", worker_id, delta)`` carrying the
+    bounded newly-warmed-cache delta, then ``("done", worker_id,
+    cache_stats)``; on an internal error, ``("error", worker_id,
+    traceback_text)`` and a non-zero exit.  ``fault`` is the injection
+    hook (:class:`~repro.testing.faults.WorkerFault`), consulted between
+    chunks with chunk indices counted in pull order (kill / stall / drop —
+    a kill is ``os._exit``, nothing flushed, exactly like a real crash).
     """
     try:
-        fault = normalize_fault(fault)
         predictor = QoRPredictor.load(
             model_path, warm_caches=warm_caches, precision=precision
         )
         function = lower_source(source)
         completed = 0
         chunk_index = 0
-        while True:
-            chunk = tasks.get()
-            if chunk is None:
-                break
+        chunk = tasks.get()
+        while chunk is not None:
             if fault is not None and fault.should_kill(chunk_index, completed):
                 os._exit(3)  # simulate a hard crash: nothing is flushed
             if fault is not None and fault.stalls_at(chunk_index):
@@ -449,6 +384,15 @@ def stealing_worker(
             metrics_list = predictor.predict_batch(
                 function, [config for _, config in chunk]
             )
+            # Pull the next chunk before streaming this one, so no blocking
+            # call sits between a put and the next kill check.  That narrows,
+            # but does not close, the window in which a kill lands while the
+            # feeder thread holds the result queue's cross-process write
+            # lock: a preemption there longer than the interpreter's switch
+            # interval still lets the feeder take the lock, and the other
+            # workers then wedge until the stall timeout (an open fault of
+            # the shared result queue, recorded in CHANGES.md)
+            following = tasks.get()
             if fault is None or not fault.drops(chunk_index):
                 results.put((
                     "results", worker_id,
@@ -459,6 +403,7 @@ def stealing_worker(
                 ))
             completed += len(chunk)
             chunk_index += 1
+            chunk = following
         if write_back:
             results.put(("caches", worker_id, _bounded_warm_delta(predictor)))
         results.put(("done", worker_id, predictor.cache_stats()))
@@ -467,19 +412,24 @@ def stealing_worker(
         raise
 
 
+#: kept for callers that look the work-stealing entrypoint up by this name;
+#: both queue topologies run shard_worker
+stealing_worker = shard_worker
+
+
 # --------------------------------------------------------------------------- #
 # coordinator side
 # --------------------------------------------------------------------------- #
 @dataclass
 class ShardReport:
-    """What one worker contributed to a sharded sweep.
+    """What one task queue's work came to in a sharded sweep.
 
-    In the fixed-shard mode ``num_configs`` is the shard's assigned size;
-    in the work-stealing mode nothing is pre-assigned, so each worker's
-    report covers what it actually delivered (``num_configs ==
-    completed``) and in-process recovery appears as one trailing
-    coordinator entry (``completed == 0``, ``recovered`` = everything no
-    worker delivered).
+    One report per started worker, in start order (a fixed shard whose
+    chunks a resumed checkpoint all covers starts none); with
+    ``work_stealing`` the
+    chunks no worker delivered are charged to one trailing coordinator
+    entry (``completed == 0``), since the shared queue has no single
+    owner.  ``num_configs`` is always ``completed + recovered``.
     """
 
     shard_id: int
@@ -556,17 +506,11 @@ class ShardedDSEResult:
         return self.num_configs / max(1, self.num_classes or self.num_configs)
 
 
-def predicted_front(
-    space: DesignSpace, predictions: list[dict[str, float]]
-) -> ParetoFront:
-    """Single-process reference front over a space's predictions.
-
-    Feeds every ``(config_id, prediction)`` pair through one
-    :class:`~repro.dse.pareto.ParetoFront` — the differential harness
-    compares the sharded engine's merged front against exactly this.
-    """
+def _fold_front(space: DesignSpace, pairs) -> ParetoFront:
+    """One :class:`~repro.dse.pareto.ParetoFront` over ``(config_id,
+    metrics)`` pairs of ``space``."""
     front = ParetoFront()
-    for config_id, metrics in enumerate(predictions):
+    for config_id, metrics in pairs:
         front.add(
             DesignPoint(
                 key=space.key_of(config_id),
@@ -580,6 +524,18 @@ def predicted_front(
     return front
 
 
+def predicted_front(
+    space: DesignSpace, predictions: list[dict[str, float]]
+) -> ParetoFront:
+    """Single-process reference front over a space's predictions.
+
+    Feeds every ``(config_id, prediction)`` pair through one
+    :class:`~repro.dse.pareto.ParetoFront` — the differential harness
+    compares the sharded engine's merged front against exactly this.
+    """
+    return _fold_front(space, enumerate(predictions))
+
+
 def fronts_match(
     a: list[DesignPoint],
     b: list[DesignPoint],
@@ -589,21 +545,14 @@ def fronts_match(
     """True when two fronts are the same set of designs in the same order.
 
     Membership and ordering are compared exactly (by key); objective values
-    are compared within ``rel_tolerance`` relative, absorbing the last-ulp
-    BLAS kernel-dispatch variation described in the module docstring.  This
-    is the comparison the differential tests and the sharded benchmark
-    guard.
+    are compared within ``rel_tolerance`` relative (:func:`fronts_equivalent`),
+    absorbing the last-ulp BLAS kernel-dispatch variation described in the
+    module docstring.  This is the comparison the differential tests and the
+    sharded benchmark guard.
     """
-    if len(a) != len(b):
-        return False
-    for point_a, point_b in zip(a, b):
-        if point_a.key != point_b.key:
-            return False
-        for value_a, value_b in zip(point_a.objectives, point_b.objectives):
-            scale = max(abs(value_a), abs(value_b), 1.0)
-            if abs(value_a - value_b) > rel_tolerance * scale:
-                return False
-    return True
+    return [point.key for point in a] == [point.key for point in b] and (
+        fronts_equivalent(a, b, rel_tolerance=rel_tolerance)
+    )
 
 
 def fronts_equivalent(
@@ -647,10 +596,11 @@ class ShardedExplorer:
     """Coordinator for multi-worker DSE over a saved model.
 
     Partitions a :class:`~repro.dse.space.DesignSpace` with
-    :func:`partition_space`, runs one worker process per shard
-    (:func:`shard_worker`), folds the streamed results into per-shard
-    Pareto fronts and merges them deterministically.  See the module
-    docstring for the equivalence and failure-handling guarantees.
+    :func:`partition_space`, cuts the shards into chunks, runs
+    :func:`shard_worker` processes over them, folds the streamed results
+    into Pareto fronts and merges them deterministically.  See the module
+    docstring for the dispatch, equivalence and failure-handling
+    guarantees.
 
     Parameters:
 
@@ -661,17 +611,14 @@ class ShardedExplorer:
     * ``shard_strategy`` — ``"round-robin"`` or ``"pragma-locality"``;
     * ``warm_caches`` — workers adopt the warm caches persisted in the model
       file (pair with ``write_back`` to also bank what they newly build);
-    * ``work_stealing`` — instead of handing each worker one fixed shard,
-      split every shard into ``chunk_size`` chunks on one shared task
-      queue: each worker pulls the next chunk as soon as it finishes the
-      previous one, so a skewed partition (or a slow machine) cannot leave
-      the fleet idling behind one straggler.  Chunks are enqueued in shard
-      order, so the pragma-locality grouping still keeps construction-cache
-      reuse high.  The merged front is **unchanged**: the Pareto merge is
-      partition- and order-invariant, so which worker scored which chunk
-      cannot affect it;
+    * ``chunk_size`` — configurations per ``predict_batch`` call and per
+      streamed result message;
+    * ``work_stealing`` — all workers drain one shared chunk queue instead
+      of one private queue each, so a skewed partition (or a slow machine)
+      cannot leave the fleet idling behind one straggler; the front is
+      unchanged;
     * ``mp_context`` — multiprocessing start method; defaults to ``fork``
-      where available, ``spawn`` otherwise (the worker entrypoints are safe
+      where available, ``spawn`` otherwise (the worker entrypoint is safe
       under both);
     * ``worker_timeout`` — a *stall* timeout: seconds without any message
       from any worker before the remaining workers are deemed wedged,
@@ -690,7 +637,8 @@ class ShardedExplorer:
     * ``checkpoint`` — persist sweep progress to this path through
       :class:`~repro.dse.checkpoint.CheckpointWriter` (atomic, digest-sealed,
       bound to the space fingerprint / model weights digest / precision
-      tier), every ``checkpoint_interval`` newly scored configurations;
+      tier), once at least ``checkpoint_interval`` newly scored
+      configurations have come in, in whole chunks;
     * ``resume`` — fold a verified checkpoint at ``checkpoint`` back in
       before dispatching: already-scored configurations are never re-sent to
       a worker, and the resumed front is **bit-equal** to an uninterrupted
@@ -703,8 +651,8 @@ class ShardedExplorer:
       merges them into the model file after the sweep; the next
       ``warm_caches`` fleet over the same space does zero cold graph builds;
     * ``fault_plan`` — a :class:`~repro.testing.faults.FaultPlan` injecting
-      worker kills/stalls/drops and coordinator aborts (test harness; merged
-      over the legacy ``_fault_injection`` hook).
+      worker kills/stalls/drops (keyed by worker id) and coordinator aborts
+      (test harness).
 
     The ``partitioner`` hook (benchmarks/tests) replaces
     :func:`partition_space`: a callable ``(space, num_shards) ->
@@ -729,9 +677,8 @@ class ShardedExplorer:
         resume: bool = False,
         checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
         write_back: bool = False,
-        fault_plan=None,
+        fault_plan: FaultPlan | None = None,
         partitioner=None,
-        _fault_injection: dict[int, int] | None = None,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -756,21 +703,8 @@ class ShardedExplorer:
         self.resume = resume
         self.checkpoint_interval = max(1, checkpoint_interval)
         self.write_back = write_back
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         self.partitioner = partitioner
-        # fault-injection hooks: the legacy per-worker int map and the
-        # structured FaultPlan merge into one WorkerFault-per-id table
-        faults = {
-            worker_id: normalize_fault(fault)
-            for worker_id, fault in (_fault_injection or {}).items()
-        }
-        self._abort_after = None
-        if fault_plan is not None:
-            faults.update({
-                worker_id: normalize_fault(fault)
-                for worker_id, fault in fault_plan.workers.items()
-            })
-            self._abort_after = fault_plan.abort_coordinator_after_checkpoints
-        self._worker_faults = faults
         # per-explore state consulted by _run_fleet (whose signature is
         # stable: tests monkeypatch it)
         self._checkpoint_writer = None
@@ -825,12 +759,11 @@ class ShardedExplorer:
     ) -> tuple[dict, dict, dict, dict]:
         """Drain the fleet's result stream until every process retires.
 
-        Shared by the fixed-shard and work-stealing modes (messages are
-        keyed by shard id in the former, worker id in the latter).  Returns
-        ``(predictions_by_id, streamed, worker_stats, errors)``; handles
-        silent worker death (retired with an error after a final drain) and
-        the fleet-wide stall timeout.  Side channels ride the same stream:
-        every scored prediction is recorded into the active
+        Messages are keyed by worker id.  Returns ``(predictions_by_id,
+        streamed, worker_stats, errors)``; handles silent worker death
+        (retired with an error after a final drain) and the fleet-wide stall
+        timeout.  Side channels ride the same stream: every delivered chunk
+        is recorded whole into the active
         :class:`~repro.dse.checkpoint.CheckpointWriter` (when checkpointing)
         and ``("caches", ...)`` write-back deltas are parked in
         ``_pending_cache_deltas`` for the post-sweep merge.
@@ -849,12 +782,10 @@ class ShardedExplorer:
         def handle(message: tuple) -> None:
             kind, key = message[0], message[1]
             if kind == "results":
-                writer = self._checkpoint_writer
-                for config_id, metrics in message[2]:
-                    predictions_by_id[config_id] = metrics
-                    streamed[key].append((config_id, metrics))
-                    if writer is not None:
-                        writer.record(config_id, metrics)
+                predictions_by_id.update(message[2])
+                streamed[key].extend(message[2])
+                if self._checkpoint_writer is not None:
+                    self._checkpoint_writer.record_chunk(message[2])
             elif kind == "caches":
                 self._pending_cache_deltas[key] = message[2]
             elif kind == "done":
@@ -901,17 +832,21 @@ class ShardedExplorer:
 
     @staticmethod
     def _cleanup_fleet(
-        processes: dict[int, multiprocessing.Process], *queues
+        processes: dict[int, multiprocessing.Process], results_queue,
+        *task_queues,
     ) -> None:
         """Terminate/join every live worker and release the queues.
 
-        Runs in the ``finally`` of both exploration modes so that a
+        Runs in the ``finally`` of :meth:`explore` so that a
         coordinator-side exception — a failure mid-merge or mid-recovery, or
         a ``KeyboardInterrupt`` while draining the result stream — cannot
         leak live worker processes or queue feeder threads, which a resident
         caller (the serving daemon, a notebook) would accumulate forever.
-        Idempotent: on the normal path the fleet has already retired and
-        every step is a no-op.
+        Chunks no worker read (a crashed worker's private queue) can exceed
+        what a pipe buffers, leaving this process's feeder thread blocked on
+        a pipe nobody reads again, so each task queue is first read back up
+        to an end marker.  Idempotent: on the normal path the fleet has
+        already retired and only the marker makes the round trip.
         """
         for process in processes.values():
             try:
@@ -920,7 +855,14 @@ class ShardedExplorer:
                 process.join()
             except (OSError, ValueError, AssertionError):
                 pass  # already reaped / never fully started
-        for queue in queues:
+        for tasks in task_queues:
+            try:
+                tasks.put(_DRAINED)
+                while tasks.get(timeout=1.0) != _DRAINED:
+                    pass
+            except (queue_module.Empty, OSError, ValueError):
+                pass  # a worker died holding the queue's read lock
+        for queue in (results_queue, *task_queues):
             try:
                 # discard unflushed buffers so the feeder thread cannot block
                 # interpreter exit, then close the queue's pipe ends
@@ -930,41 +872,35 @@ class ShardedExplorer:
                 pass  # already closed
 
     def _recover_missing(
-        self,
-        space: DesignSpace,
-        missing_chunks: list[list[int]],
-        predictions_by_id: dict[int, dict[str, float]],
-    ) -> tuple[list[tuple[int, dict[str, float]]], dict | None, dict | None]:
-        """Score configurations no worker delivered, in-process.
+        self, space: DesignSpace, chunks: list[list[int]]
+    ) -> tuple[list[list[tuple[int, dict[str, float]]]], dict, dict | None]:
+        """Score chunks no worker delivered, in-process.
 
-        ``missing_chunks`` preserves the chunk layout the lost worker would
-        have scored, and each chunk is re-scored as its own batch: BLAS
-        kernel dispatch varies at the last ulp with batch composition, so
-        recovery must reproduce the compositions exactly for the
-        crashed-and-recovered front to stay bit-equal to a clean fleet's.
+        Each chunk is re-scored as its own batch: BLAS kernel dispatch
+        varies at the last ulp with batch composition, so recovery must
+        reproduce the compositions exactly for the crashed-and-recovered
+        front to stay bit-equal to a clean fleet's.
 
-        Returns ``(recovered, cache_stats, write_back_delta)`` — the last a
-        bounded warm-cache delta (the coordinator is just another scoring
-        process as far as write-back is concerned), ``None`` unless
-        ``write_back`` is on and something was recovered.
+        Returns ``(recovered, cache_stats, write_back_delta)`` — one
+        ``[(config_id, metrics), ...]`` list per chunk, the recovery
+        predictor's cache counters, and a bounded warm-cache delta (the
+        coordinator is just another scoring process as far as write-back is
+        concerned), ``None`` unless ``write_back`` is on.  Without chunks
+        nothing is loaded: ``([], {}, None)``.
         """
-        if not any(missing_chunks):
-            return [], None, None
+        if not chunks:
+            return [], {}, None
         predictor = QoRPredictor.load(
             self.model_path, warm_caches=self.warm_caches,
             precision=self.precision,
         )
         function = space.function()
-        recovered: list[tuple[int, dict[str, float]]] = []
-        for chunk in missing_chunks:
-            if not chunk:
-                continue
-            metrics_list = predictor.predict_batch(
+        recovered = [
+            list(zip(chunk, predictor.predict_batch(
                 function, [space.config(cid) for cid in chunk]
-            )
-            recovered.extend(zip(chunk, metrics_list))
-        for config_id, metrics in recovered:
-            predictions_by_id[config_id] = metrics
+            )))
+            for chunk in chunks
+        ]
         delta = _bounded_warm_delta(predictor) if self.write_back else None
         return recovered, predictor.cache_stats(), delta
 
@@ -996,8 +932,8 @@ class ShardedExplorer:
                     if 0 <= config_id < len(space)
                 }
         on_save = None
-        if self._abort_after is not None:
-            abort_after = self._abort_after
+        abort_after = self.fault_plan.abort_coordinator_after_checkpoints
+        if abort_after is not None:
 
             def on_save(saves: int) -> None:
                 """Injected coordinator crash: die after N durable saves."""
@@ -1048,21 +984,22 @@ class ShardedExplorer:
         self,
         prior: dict[int, dict[str, float]],
         predictions_by_id: dict[int, dict[str, float]],
-        recovered: list[tuple[int, dict[str, float]]],
+        recovered: list[list[tuple[int, dict[str, float]]]],
         coordinator_delta: dict | None,
     ) -> dict:
-        """Post-fleet bookkeeping shared by both exploration modes.
+        """Post-fleet bookkeeping: fold in recovery and the resumed prior.
 
-        Records coordinator-recovered predictions into the checkpoint, folds
-        the resumed prior back into the prediction table, seals the
-        checkpoint as ``complete`` and merges any pending write-back deltas
-        into the model file.  Returns the write-back summary (empty dict
-        when write-back is off).
+        Records each coordinator-recovered chunk whole into the prediction
+        table and the checkpoint, folds the resumed prior back into the
+        prediction table, seals the checkpoint as ``complete`` and merges
+        any pending write-back deltas into the model file.  Returns the
+        write-back summary (empty dict when write-back is off).
         """
         writer = self._checkpoint_writer
-        if writer is not None:
-            for config_id, metrics in recovered:
-                writer.record(config_id, metrics)
+        for chunk in recovered:
+            predictions_by_id.update(chunk)
+            if writer is not None:
+                writer.record_chunk(chunk)
         for config_id, metrics in prior.items():
             predictions_by_id.setdefault(config_id, metrics)
         if writer is not None:
@@ -1077,351 +1014,141 @@ class ShardedExplorer:
             deltas.append(coordinator_delta)
         return self._persist_write_back(deltas)
 
-    @staticmethod
-    def _stream_front(
-        space: DesignSpace, stream: list[tuple[int, dict[str, float]]]
-    ) -> ParetoFront:
-        """Fold one worker/shard stream into a Pareto front."""
-        front = ParetoFront()
-        for config_id, metrics in stream:
-            front.add(
-                DesignPoint(
-                    key=space.key_of(config_id),
-                    objectives=qor_objectives(metrics),
-                    metadata={
-                        "config": space.config(config_id),
-                        "config_id": config_id,
-                    },
-                ),
-                config_id,
-            )
-        return front
-
     def explore(self, space: DesignSpace) -> ShardedDSEResult:
         """Score every configuration of ``space`` across the worker fleet.
 
         Returns predictions aligned with the space's canonical order and the
         merged Pareto front; never raises on worker death — missing work is
         recovered in-process (see ``ShardedDSEResult.recovered_configs``).
-        With ``work_stealing`` the same guarantees hold over the shared
-        chunk queue (see the class docstring).  In dedup mode (the default)
-        only equivalence-class representatives are dispatched; members get
-        their representative's prediction fanned back out.  With a resumed
-        checkpoint, configurations its scored table covers are folded in
-        directly and only the remainder is dispatched.
+        In dedup mode (the default) only equivalence-class representatives
+        are dispatched; members get their representative's prediction
+        fanned back out.  With a resumed checkpoint, configurations its
+        scored table covers are folded in directly and only the remainder is
+        dispatched.  Only queues with chunks on them get workers: a fixed
+        shard whose chunks are all resumed starts no worker and gets no
+        report, and ``num_workers`` counts the workers started.
         """
         deduped = space.dedup() if self.dedup else None
-        wanted = list(
-            deduped.representative_ids() if deduped else range(len(space))
-        )
         prior = self._prepare_sweep(space)
-        to_score = [cid for cid in wanted if cid not in prior]
-        if self.work_stealing:
-            return self._explore_stealing(space, deduped, prior, wanted, to_score)
         start = time.perf_counter()
-        # None = "everything" preserves the partitioner hook's full view.
-        # Dedup restricts the partition to class representatives; a resumed
-        # prior deliberately does NOT — the partition (hence the chunk
-        # layout) must match the uninterrupted sweep's, and already-scored
-        # work is dropped per whole chunk at dispatch instead, so every
-        # remaining batch keeps its original composition (bit-equality)
-        restrict = wanted if deduped is not None else None
-        shards = self._partition(space, restrict)
+        # The canonical chunk layout.  Dedup restricts the partition to class
+        # representatives (None keeps the partitioner hook's full view); a
+        # resumed prior deliberately does NOT — the partition, hence every
+        # chunk, must be the uninterrupted sweep's, and already-scored work
+        # is filtered out per chunk instead, so every remaining batch keeps
+        # its original composition (bit-equality)
+        shards = self._partition(
+            space, deduped.representative_ids() if deduped is not None else None
+        )
+        layout: list[tuple[int, list[int]]] = []
+        for shard in shards:
+            for offset in range(0, len(shard), self.chunk_size):
+                chunk = shard.config_ids[offset:offset + self.chunk_size]
+                kept = [cid for cid in chunk if cid not in prior]
+                if kept:
+                    layout.append((shard.shard_id, kept))
+        # The one place the topologies differ.  Each chunk is keyed by the
+        # task queue it goes on, which is also whom a lost chunk is charged
+        # to; queue_of maps every worker to the queue it drains
+        if self.work_stealing:
+            # one shared queue, charged to a trailing coordinator entry
+            num_workers = min(self.num_workers, len(layout))
+            layout = [(num_workers, chunk) for _, chunk in layout]
+            queue_of = dict.fromkeys(range(num_workers), num_workers)
+        else:
+            # one private queue per shard's worker, charged to that worker
+            queue_of = {key: key for key, _ in layout}
         context = multiprocessing.get_context(self.mp_context)
         results_queue = context.Queue()
+        tasks = {key: context.Queue() for key in dict.fromkeys(queue_of.values())}
         processes: dict[int, multiprocessing.Process] = {}
         try:
-            return self._explore_fixed(
-                space, deduped, prior, shards, context, results_queue,
-                processes, start,
+            # start every worker before the first put: no process is forked
+            # while a queue feeder thread is running
+            for worker_id, key in queue_of.items():
+                processes[worker_id] = context.Process(
+                    target=shard_worker,
+                    args=(
+                        worker_id, str(self.model_path), space.source,
+                        self.warm_caches, tasks[key], results_queue,
+                        self.fault_plan.workers.get(worker_id),
+                        self.precision, self.write_back,
+                    ),
+                    daemon=True,
+                )
+                processes[worker_id].start()
+            for key, chunk in layout:
+                tasks[key].put([(cid, space.config(cid)) for cid in chunk])
+            for key in queue_of.values():
+                tasks[key].put(None)  # one end-of-work sentinel per worker
+
+            predictions_by_id, streamed, worker_stats, errors = self._run_fleet(
+                processes, results_queue
             )
+            # the acceptance guard for resume: workers only ever receive
+            # not-yet-scored configurations, so nothing checkpointed comes back
+            rescored = sum(
+                1 for stream in streamed.values()
+                for config_id, _ in stream if config_id in prior
+            )
+            lost: list[tuple[int, list[int]]] = []
+            for key, chunk in layout:
+                missing = [cid for cid in chunk if cid not in predictions_by_id]
+                if missing:
+                    lost.append((key, missing))
+            recovered, coordinator_stats, coordinator_delta = (
+                self._recover_missing(space, [chunk for _, chunk in lost])
+            )
+            recovered_by: dict[int, int] = {}
+            for key, chunk in lost:
+                recovered_by[key] = recovered_by.get(key, 0) + len(chunk)
+            write_back_stats = self._finish_sweep(
+                prior, predictions_by_id, recovered, coordinator_delta
+            )
+            # per-worker fronts, merged deterministically; recovered and
+            # resumed predictions join as more fronts (the merge is
+            # partition-invariant)
+            fronts = [_fold_front(space, streamed[key]) for key in processes]
+            fronts.extend(_fold_front(space, chunk) for chunk in recovered)
+            fronts.append(_fold_front(space, sorted(prior.items())))
+            merged = merge_fronts(fronts)
+            model_seconds = time.perf_counter() - start
         finally:
             # a coordinator-side exception (mid-drain, mid-merge, Ctrl-C)
-            # must not leak live workers or the queue feeder thread
-            self._cleanup_fleet(processes, results_queue)
-
-    @staticmethod
-    def _fan_out(deduped, predictions_by_id):
-        """Predictions over every config id (copy reps to members)."""
-        if deduped is None:
-            return predictions_by_id
-        return deduped.fan_out(predictions_by_id)
-
-    def _dispatch_layout(
-        self, config_ids: list[int], prior: dict
-    ) -> tuple[list[int], list[list[int]]]:
-        """What a worker actually scores after dropping resumed work.
-
-        Returns ``(flat dispatch list, its chunk layout)``.  Already-scored
-        configurations are removed at *chunk* granularity: results stream
-        per whole chunk, so a checkpoint's scored table is a union of whole
-        chunks of this same layout, and dropping them leaves every surviving
-        chunk's batch composition identical to the uninterrupted sweep's
-        (dropped and surviving blocks are all ``chunk_size`` long bar a
-        final short one, so re-chunking the concatenation reproduces the
-        surviving chunks exactly).  That composition invariance is what
-        makes a resumed front bit-equal, not merely tolerance-close.
-        """
-        kept: list[int] = []
-        for offset in range(0, len(config_ids), self.chunk_size):
-            kept.extend(
-                cid
-                for cid in config_ids[offset:offset + self.chunk_size]
-                if cid not in prior
-            )
-        layout = [
-            kept[offset:offset + self.chunk_size]
-            for offset in range(0, len(kept), self.chunk_size)
-        ]
-        return kept, layout
-
-    def _explore_fixed(
-        self, space, deduped, prior, shards, context, results_queue,
-        processes, start,
-    ) -> ShardedDSEResult:
-        """Fixed-assignment exploration body (cleanup owned by caller)."""
-        dispatched: dict[int, list[int]] = {}
-        layouts: dict[int, list[list[int]]] = {}
-        for shard in shards:
-            flat, layout = self._dispatch_layout(shard.config_ids, prior)
-            dispatched[shard.shard_id] = flat
-            layouts[shard.shard_id] = layout
-            items = [(cid, space.config(cid)) for cid in flat]
-            process = context.Process(
-                target=shard_worker,
-                args=(
-                    shard.shard_id, str(self.model_path), space.source,
-                    self.warm_caches, items, results_queue, self.chunk_size,
-                    self._worker_faults.get(shard.shard_id), self.precision,
-                    self.write_back,
-                ),
-                daemon=True,
-            )
-            process.start()
-            processes[shard.shard_id] = process
-
-        predictions_by_id, streamed, worker_stats, errors = self._run_fleet(
-            processes, results_queue
-        )
-        # the acceptance guard for resume: workers only ever receive
-        # not-yet-scored configurations, so nothing checkpointed comes back
-        rescored = sum(
-            1 for stream in streamed.values()
-            for config_id, _ in stream if config_id in prior
-        )
-
-        # recover configurations no worker delivered, in-process — chunk by
-        # chunk in the layout the worker would have scored (losses are
-        # chunk-granular, so compositions — and hence bits — are preserved)
-        recovered_by_shard: dict[int, int] = {}
-        recovery_chunks: list[list[int]] = []
-        chunk_owner: list[int] = []
-        for shard in shards:
-            for chunk in layouts[shard.shard_id]:
-                miss = [c for c in chunk if c not in predictions_by_id]
-                if miss:
-                    recovery_chunks.append(miss)
-                    chunk_owner.append(shard.shard_id)
-        recovered, coordinator_stats, coordinator_delta = self._recover_missing(
-            space, recovery_chunks, predictions_by_id
-        )
-        index = 0
-        for owner, chunk in zip(chunk_owner, recovery_chunks):
-            for _ in chunk:
-                config_id, metrics = recovered[index]
-                index += 1
-                streamed[owner].append((config_id, metrics))
-                recovered_by_shard[owner] = recovered_by_shard.get(owner, 0) + 1
-
-        write_back_stats = self._finish_sweep(
-            prior, predictions_by_id, recovered, coordinator_delta
-        )
-
-        # per-shard fronts, merged deterministically; resumed predictions
-        # join as one more front (the merge is partition-invariant)
-        fronts = [
-            self._stream_front(space, streamed[shard.shard_id])
-            for shard in shards
-        ]
-        if prior:
-            fronts.append(self._stream_front(space, sorted(prior.items())))
-        merged = merge_fronts(fronts)
-        model_seconds = time.perf_counter() - start
+            # must not leak live workers or queue feeder threads
+            self._cleanup_fleet(processes, results_queue, *tasks.values())
 
         reports = [
             ShardReport(
-                shard_id=shard.shard_id,
-                num_configs=len(dispatched[shard.shard_id]),
-                completed=len(streamed[shard.shard_id])
-                - recovered_by_shard.get(shard.shard_id, 0),
-                recovered=recovered_by_shard.get(shard.shard_id, 0),
-                cache_stats=worker_stats.get(shard.shard_id, {}),
-                failed=shard.shard_id in errors,
-                error=errors.get(shard.shard_id, ""),
+                shard_id=key,
+                num_configs=len(streamed.get(key, ())) + recovered_by.get(key, 0),
+                completed=len(streamed.get(key, ())),
+                recovered=recovered_by.get(key, 0),
+                cache_stats=worker_stats.get(key, {}),
+                failed=key in errors,
+                error=errors.get(key, ""),
             )
-            for shard in shards
+            for key in dict.fromkeys([*processes, *recovered_by])
         ]
-        all_stats = [stats for stats in worker_stats.values()]
-        if coordinator_stats is not None:
-            all_stats.append(coordinator_stats)
-        full = self._fan_out(deduped, predictions_by_id)
+        full = (
+            deduped.fan_out(predictions_by_id) if deduped is not None
+            else predictions_by_id
+        )
         return ShardedDSEResult(
             kernel=space.kernel,
             num_configs=len(space),
-            num_workers=len(shards),
+            num_workers=len(processes),
             shard_strategy=self.shard_strategy,
             predictions=[full[cid] for cid in range(len(space))],
             front=merged.points(),
             model_seconds=model_seconds,
             shards=reports,
-            recovered_configs=sum(recovered_by_shard.values()),
-            cache_stats=QoRPredictor.aggregate_cache_stats(all_stats),
-            mp_context=self.mp_context,
-            dedup=deduped is not None,
-            num_classes=(
-                deduped.num_classes if deduped is not None else len(space)
+            recovered_configs=sum(recovered_by.values()),
+            cache_stats=QoRPredictor.aggregate_cache_stats(
+                [*worker_stats.values(), coordinator_stats]
             ),
-            resumed_configs=len(prior),
-            rescored_configs=rescored,
-            checkpoint_path=str(self.checkpoint or ""),
-            write_back=self.write_back,
-            write_back_stats=write_back_stats,
-        )
-
-    def _explore_stealing(
-        self, space: DesignSpace, deduped, prior, wanted, to_score
-    ) -> ShardedDSEResult:
-        """Work-stealing exploration over one shared chunk queue.
-
-        Shards are computed exactly as in the fixed mode (so pragma-locality
-        keeps related configurations adjacent), then split into
-        ``chunk_size`` chunks enqueued in shard order; each worker pulls the
-        next chunk as soon as it finishes one.  Crash/stall recovery and the
-        deterministic merge are identical — the merge is partition-
-        invariant, so the stolen distribution of chunks cannot change the
-        front.
-        """
-        start = time.perf_counter()
-        # same partition as a clean sweep (see explore()): resumed work is
-        # dropped per whole chunk so surviving chunks keep their composition
-        restrict = wanted if deduped is not None else None
-        shards = self._partition(space, restrict)
-        chunks: list[list[tuple[int, PragmaConfig]]] = []
-        for shard in shards:
-            for offset in range(0, len(shard.config_ids), self.chunk_size):
-                chunk = [
-                    (cid, space.config(cid))
-                    for cid in shard.config_ids[offset:offset + self.chunk_size]
-                    if cid not in prior
-                ]
-                if chunk:
-                    chunks.append(chunk)
-        # a fully-resumed sweep has no chunks and spawns no workers at all
-        num_workers = min(self.num_workers, len(chunks)) if chunks else 0
-        context = multiprocessing.get_context(self.mp_context)
-        results_queue = context.Queue()
-        tasks = context.Queue()
-        processes: dict[int, multiprocessing.Process] = {}
-        try:
-            return self._explore_stealing_body(
-                space, deduped, prior, to_score, chunks, num_workers, context,
-                results_queue, tasks, processes, start,
-            )
-        finally:
-            self._cleanup_fleet(processes, results_queue, tasks)
-
-    def _explore_stealing_body(
-        self, space, deduped, prior, to_score, chunks, num_workers, context,
-        results_queue, tasks, processes, start,
-    ) -> ShardedDSEResult:
-        """Work-stealing exploration body (cleanup owned by caller)."""
-        for chunk in chunks:
-            tasks.put(chunk)
-        for _ in range(num_workers):
-            tasks.put(None)  # one end-of-work sentinel per worker
-        for worker_id in range(num_workers):
-            process = context.Process(
-                target=stealing_worker,
-                args=(
-                    worker_id, str(self.model_path), space.source,
-                    self.warm_caches, tasks, results_queue,
-                    self._worker_faults.get(worker_id), self.precision,
-                    self.write_back,
-                ),
-                daemon=True,
-            )
-            process.start()
-            processes[worker_id] = process
-
-        predictions_by_id, streamed, worker_stats, errors = self._run_fleet(
-            processes, results_queue
-        )
-        rescored = sum(
-            1 for stream in streamed.values()
-            for config_id, _ in stream if config_id in prior
-        )
-        recovery_chunks = [
-            [cid for cid, _ in chunk if cid not in predictions_by_id]
-            for chunk in chunks
-        ]
-        recovered, coordinator_stats, coordinator_delta = self._recover_missing(
-            space, recovery_chunks, predictions_by_id
-        )
-        write_back_stats = self._finish_sweep(
-            prior, predictions_by_id, recovered, coordinator_delta
-        )
-        fronts = [
-            self._stream_front(space, streamed[worker_id])
-            for worker_id in processes
-        ]
-        if recovered:
-            fronts.append(self._stream_front(space, recovered))
-        if prior:
-            fronts.append(self._stream_front(space, sorted(prior.items())))
-        merged = merge_fronts(fronts)
-        model_seconds = time.perf_counter() - start
-
-        # stealing pre-assigns nothing, so a worker's report covers exactly
-        # what it delivered; configurations no worker delivered are
-        # attributed to a trailing coordinator entry (completed=0,
-        # recovered=all) so crashed fleets never read as fully completed
-        reports = [
-            ShardReport(
-                shard_id=worker_id,
-                num_configs=len(streamed[worker_id]),
-                completed=len(streamed[worker_id]),
-                cache_stats=worker_stats.get(worker_id, {}),
-                failed=worker_id in errors,
-                error=errors.get(worker_id, ""),
-            )
-            for worker_id in processes
-        ]
-        if recovered:
-            reports.append(
-                ShardReport(
-                    shard_id=num_workers,
-                    num_configs=len(recovered),
-                    completed=0,
-                    recovered=len(recovered),
-                )
-            )
-        all_stats = [stats for stats in worker_stats.values()]
-        if coordinator_stats is not None:
-            all_stats.append(coordinator_stats)
-        full = self._fan_out(deduped, predictions_by_id)
-        return ShardedDSEResult(
-            kernel=space.kernel,
-            num_configs=len(space),
-            num_workers=num_workers,
-            shard_strategy=self.shard_strategy,
-            predictions=[full[cid] for cid in range(len(space))],
-            front=merged.points(),
-            model_seconds=model_seconds,
-            shards=reports,
-            recovered_configs=len(recovered),
-            cache_stats=QoRPredictor.aggregate_cache_stats(all_stats),
             mp_context=self.mp_context,
-            work_stealing=True,
+            work_stealing=self.work_stealing,
             dedup=deduped is not None,
             num_classes=(
                 deduped.num_classes if deduped is not None else len(space)
@@ -1437,7 +1164,7 @@ class ShardedExplorer:
 __all__ = [
     "SHARD_STRATEGIES", "DEFAULT_CHUNK_SIZE", "PREDICTION_TOLERANCE",
     "WRITE_BACK_MAX_ENTRIES",
-    "ShardSpec", "partition_space", "shard_worker", "stealing_worker",
+    "ShardSpec", "partition_space", "shard_worker",
     "ShardReport", "ShardedDSEResult", "predicted_front", "fronts_match",
     "fronts_equivalent", "fronts_bit_equal", "max_prediction_error",
     "ShardedExplorer",

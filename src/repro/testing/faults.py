@@ -8,8 +8,8 @@ inspecting recovery *code*:
 
 * :class:`WorkerFault` — a picklable descriptor of one worker's misbehaviour
   (hard-kill after N configs or at chunk N, stall before a chunk, silently
-  drop a chunk's result message).  The worker entrypoints in
-  :mod:`repro.dse.sharding` consult it between chunks, which is exactly
+  drop a chunk's result message).  The worker entrypoint in
+  :mod:`repro.dse.sharding` consults it between chunks, which is exactly
   where a real crash/OOM-kill/queue loss would bite.
 * :class:`FaultPlan` — a whole scenario: per-worker faults, an injected
   coordinator abort after N checkpoint saves, and a checkpoint-corruption
@@ -23,9 +23,11 @@ inspecting recovery *code*:
   chaos step.
 
 Monkeypatch points, for scenarios the descriptors do not cover: worker-side
-faults ride the queue as pickled ``fault`` arguments of
-:func:`repro.dse.sharding.shard_worker` / ``stealing_worker`` (patch those
-entrypoints to inject arbitrary behaviour); coordinator-side faults hook
+faults travel as the pickled ``fault`` argument of
+:func:`repro.dse.sharding.shard_worker`, the one entrypoint every worker
+process runs under either queue topology (the coordinator looks the name up
+when it starts each process, so patching the module attribute swaps in
+arbitrary behaviour); coordinator-side faults hook
 ``ShardedExplorer._run_fleet`` (crash mid-drain) and the checkpoint writer's
 ``on_save`` callback (crash between persists, which is what
 ``abort_coordinator_after_checkpoints`` wires up).
@@ -107,23 +109,11 @@ class WorkerFault:
         return WorkerFault(**kwargs)
 
 
-def normalize_fault(fault) -> WorkerFault | None:
-    """Coerce the legacy ``fail_after`` integer hook into a descriptor.
-
-    ``ShardedExplorer(_fault_injection={shard: N})`` predates
-    :class:`WorkerFault`; a bare int still means "hard-crash after N
-    configurations".
-    """
-    if fault is None or isinstance(fault, WorkerFault):
-        return fault
-    return WorkerFault(kill_after_configs=int(fault))
-
-
 @dataclass
 class FaultPlan:
     """One complete fault scenario for a sharded sweep.
 
-    ``workers`` maps shard/worker ids to :class:`WorkerFault` descriptors;
+    ``workers`` maps worker ids to :class:`WorkerFault` descriptors;
     ``abort_coordinator_after_checkpoints`` kills the coordinator (via
     :class:`InjectedFault` out of the checkpoint writer's ``on_save`` hook)
     after that many periodic checkpoint saves — the fleet dies mid-sweep
@@ -264,5 +254,5 @@ def random_fault_plan(
 
 __all__ = [
     "CHECKPOINT_CORRUPTIONS", "InjectedFault", "WorkerFault", "FaultPlan",
-    "normalize_fault", "corrupt_checkpoint_file", "random_fault_plan",
+    "corrupt_checkpoint_file", "random_fault_plan",
 ]

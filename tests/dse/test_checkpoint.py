@@ -23,11 +23,17 @@ from repro.dse import (
     SweepCheckpoint,
     fronts_bit_equal,
     load_checkpoint,
+    partition_space,
     save_checkpoint,
     space_fingerprint,
 )
 from repro.dse.sharding import fronts_match
-from repro.testing import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint_file
+from repro.testing import (
+    CHECKPOINT_CORRUPTIONS,
+    FaultPlan,
+    InjectedFault,
+    corrupt_checkpoint_file,
+)
 
 
 @pytest.fixture()
@@ -202,6 +208,33 @@ class TestCoordinatorIntegration:
         assert sum(shard.completed for shard in resumed.shards) == 0
         assert resumed.predictions == first.predictions
         assert fronts_bit_equal(first.front, resumed.front)
+
+    @pytest.mark.parametrize("work_stealing", [False, True])
+    @pytest.mark.parametrize("interval", [3, 5])
+    def test_periodic_save_never_splits_a_chunk(
+        self, sharded_model_path, fir_space, tmp_path, bindings, interval,
+        work_stealing,
+    ):
+        # an odd interval over 2-config chunks: a save due mid-chunk must
+        # wait until the chunk is folded in whole
+        path = tmp_path / "sweep.ckpt"
+        with pytest.raises(InjectedFault):
+            ShardedExplorer(
+                sharded_model_path, num_workers=2, chunk_size=2,
+                checkpoint=path, checkpoint_interval=interval,
+                work_stealing=work_stealing,
+                fault_plan=FaultPlan(abort_coordinator_after_checkpoints=1),
+            ).explore(fir_space)
+        scored = set(load_checkpoint(path, **bindings).scored)
+        assert scored
+        shards = partition_space(
+            fir_space, 2, "pragma-locality",
+            config_ids=fir_space.dedup().representative_ids(),
+        )
+        for shard in shards:
+            for offset in range(0, len(shard), 2):
+                chunk = set(shard.config_ids[offset:offset + 2])
+                assert chunk <= scored or not chunk & scored, sorted(chunk)
 
     def test_corrupt_checkpoint_restarts_from_zero(
         self, sharded_model_path, fir_space, tmp_path, reference

@@ -24,7 +24,6 @@ from repro.testing import (
     corrupt_checkpoint_file,
     random_fault_plan,
 )
-from repro.testing.faults import normalize_fault
 
 pytestmark = pytest.mark.faults
 
@@ -67,12 +66,6 @@ class TestWorkerFault:
         # unknown keys from a newer artifact format are ignored
         assert WorkerFault.from_dict({"kill_after_chunks": 1, "novel": True}) \
             == WorkerFault(kill_after_chunks=1)
-
-    def test_normalize_legacy_int(self):
-        assert normalize_fault(None) is None
-        assert normalize_fault(3) == WorkerFault(kill_after_configs=3)
-        fault = WorkerFault(drop_chunks=(1,))
-        assert normalize_fault(fault) is fault
 
 
 class TestFaultPlan:

@@ -29,6 +29,7 @@ from repro.dse.sharding import (
     fronts_match,
     max_prediction_error,
 )
+from repro.testing import FaultPlan, WorkerFault
 
 
 class TestDesignSpace:
@@ -160,7 +161,8 @@ class TestShardedExplorer:
     ):
         explorer = ShardedExplorer(
             sharded_model_path, num_workers=2, shard_strategy="round-robin",
-            chunk_size=2, _fault_injection={0: 2},
+            chunk_size=2,
+            fault_plan=FaultPlan(workers={0: WorkerFault(kill_after_configs=2)}),
         )
         result = explorer.explore(fir_space)
         crashed = result.shards[0]
@@ -177,7 +179,7 @@ class TestShardedExplorer:
     ):
         explorer = ShardedExplorer(
             sharded_model_path, num_workers=2, shard_strategy="round-robin",
-            _fault_injection={1: 0},
+            fault_plan=FaultPlan(workers={1: WorkerFault(kill_after_configs=0)}),
         )
         result = explorer.explore(fir_space)
         crashed = result.shards[1]
@@ -280,7 +282,8 @@ class TestWorkStealing:
         # must recover everything it never delivered
         explorer = ShardedExplorer(
             sharded_model_path, num_workers=1, chunk_size=2,
-            work_stealing=True, _fault_injection={0: 2},
+            work_stealing=True,
+            fault_plan=FaultPlan(workers={0: WorkerFault(kill_after_configs=2)}),
         )
         result = explorer.explore(fir_space)
         crashed = result.shards[0]
@@ -302,7 +305,11 @@ class TestWorkStealing:
     ):
         explorer = ShardedExplorer(
             sharded_model_path, num_workers=2, chunk_size=2,
-            work_stealing=True, _fault_injection={0: 0, 1: 0},
+            work_stealing=True,
+            fault_plan=FaultPlan(workers={
+                0: WorkerFault(kill_after_configs=0),
+                1: WorkerFault(kill_after_configs=0),
+            }),
         )
         result = explorer.explore(fir_space)
         worker_reports = result.shards[:result.num_workers]
@@ -321,6 +328,35 @@ class TestWorkStealing:
         assert result.mp_context == "spawn"
         assert result.recovered_configs == 0
         assert fronts_match(reference[1], result.front)
+
+
+class TestOversubscribedQueues:
+    """More workers than a 2-core runner has cores, both queue topologies."""
+
+    def test_four_workers_deliver_every_chunk_once(
+        self, sharded_model_path, fir_space, reference
+    ):
+        import multiprocessing
+
+        # the stall timeout bounds every wait: a hung queue surfaces as
+        # recovered work, which the assertions below reject
+        fixed, stealing = (
+            ShardedExplorer(
+                sharded_model_path, num_workers=4, chunk_size=2,
+                work_stealing=work_stealing, worker_timeout=60.0,
+            ).explore(fir_space)
+            for work_stealing in (False, True)
+        )
+        # same partition, same chunk layout: bit-equal across topologies
+        assert fixed.predictions == stealing.predictions
+        assert fronts_bit_equal(fixed.front, stealing.front)
+        num_classes = fir_space.dedup().num_classes
+        for result in (fixed, stealing):
+            assert result.num_workers == 4
+            assert sum(shard.completed for shard in result.shards) == num_classes
+            assert result.recovered_configs == 0
+            assert fronts_match(reference[1], result.front)
+        assert not multiprocessing.active_children()
 
 
 @pytest.fixture(scope="session")
@@ -455,7 +491,7 @@ class TestDedupAlgebra:
     ):
         crashed = ShardedExplorer(
             sharded_model_path, num_workers=2, chunk_size=8,
-            _fault_injection={0: 1},
+            fault_plan=FaultPlan(workers={0: WorkerFault(kill_after_configs=1)}),
         ).explore(dedup_space)
         assert crashed.recovered_configs > 0
         assert dedup_sharded_run.predictions == crashed.predictions
@@ -505,6 +541,26 @@ class TestCoordinatorCleanup:
             explorer.explore(fir_space)
         assert spawned
         assert not any(process.is_alive() for process in spawned.values())
+
+    def test_cleanup_reads_back_chunks_no_worker_read(self):
+        # a crashed worker's private queue can hold more chunk data than a
+        # pipe buffers: the coordinator's feeder thread then blocks on the
+        # full pipe until cleanup reads the queue back
+        import multiprocessing
+        import threading
+        import time
+
+        context = multiprocessing.get_context()
+        results, tasks = context.Queue(), context.Queue()
+        before = set(threading.enumerate())
+        for _ in range(8):
+            tasks.put(b"x" * 65536)
+        tasks.put(None)
+        ShardedExplorer._cleanup_fleet({}, results, tasks)
+        deadline = time.monotonic() + 10.0
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not set(threading.enumerate()) - before
 
     def test_exception_after_fleet_retired_still_cleans_up(
         self, sharded_model_path, fir_space, monkeypatch
