@@ -5,10 +5,10 @@ this script compares the *headline* metric of each one (declared in
 ``benchmarks/results/BASELINE.json``) against its committed baseline value
 and exits non-zero when any metric regresses by more than the allowed
 fraction (default 20%).  The tracked metrics are deliberately machine-mostly
-speedup *ratios* (vectorized vs reference encoder, replay vs naive
-construction, cached vs first epoch), not absolute configs/s, so the same
-baselines hold on a laptop and on a CI runner; the ``max_regression`` margin
-absorbs the residual timing noise.
+speedup *ratios* (production vs reference predictor, replay vs naive
+construction, concurrent vs single-client serving), not absolute
+configs/s, so the same baselines hold on a laptop and on a CI runner; the
+``max_regression`` margin absorbs the residual timing noise.
 
 Memory is tracked alongside speed: each benchmark stamps its process's peak
 RSS into the JSON, and the manifest's ``memory`` section compares it to a

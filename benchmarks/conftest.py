@@ -14,11 +14,16 @@ shape of each result:
 
 Numbers reported by each benchmark are written to ``benchmarks/results/`` so
 that EXPERIMENTS.md can reference them after a run.
+
+The test suite's standalone reference implementations (``tests/reference/``)
+are importable here as ``reference``: the cold-path bench times production
+inference against them.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +39,10 @@ from repro.dse.space import sample_design_space
 from repro.kernels import TRAIN_KERNELS, load_kernels
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+_TESTS_DIR = str(Path(__file__).resolve().parents[1] / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 def env_int(name: str, default: int) -> int:

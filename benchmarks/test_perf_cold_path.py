@@ -1,30 +1,27 @@
-"""Perf benchmark: the vectorized cold-path encoder and epoch-cached unions.
+"""Perf benchmark: the production cold path against the reference predictor.
 
-After the replica-replay work (PR 2) and sharding (PR 3), cold end-to-end
-sweeps were GNN-bound: forward passes plus *sample encoding* dominated the
-wall time of a first-contact ``predict_batch``.  This benchmark times the
-vectorized encoding pipeline — the single-pass union encoder in
-``repro.nn.data.make_batch``, the outer-graph sample templates in
-``repro.core.hierarchical``, and the memoized flat scatter indices in
-``repro.nn.autograd`` — against the retained reference implementation
-(:func:`repro.nn.data.make_batch_reference`, forced end to end with
-:func:`repro.nn.autograd.reference_encoding`), in three parts:
+A first-contact ``predict_batch`` sweep runs every production fast path at
+once: the graph-construction cache and outer-graph sample templates in
+``repro.core.hierarchical``, the single-pass union encoder with its
+embedding-gather layout in ``repro.nn.data.make_batch``, the memoized
+scatter indices and CSR operators in ``repro.nn.autograd`` and the fused
+SAGE/residual ops.  This benchmark times it against
+``reference_predict`` (``tests/reference/predict.py``), the same
+hierarchical predictor written the plain way — uncached decomposition,
+per-node super-node annotation, the dense per-sample encoder and a numpy
+GraphSAGE forward with ``np.add.at`` scatters — in three parts:
 
 * **cold sweep** — a first-contact ``predict_batch`` over a design space
-  from empty inference caches, reference vs vectorized.  Since the columnar
-  cold path landed (PR 5: builder-native feature columns, zero-object
-  replica replay, embedding-gather encoding, zero-copy graph-to-tensor
-  handoff, fused SAGE/residual ops) the guard asserts >= 2.6x configs/s on
-  ``gemm`` and >= 2.2x on ``bicg``;
+  from empty inference caches vs one ``reference_predict`` per
+  configuration; the guard asserts >= 1.9x configs/s on ``gemm`` and
+  >= 2.3x on ``bicg``;
 * **equivalence** — for *every* registered kernel, a small sweep must agree
-  between the two pipelines to <= 1e-9 relative per metric;
+  between the two to <= 1e-9 relative per metric;
 * **training epochs** — a ``GraphRegressorTrainer`` run on flat samples.
   With stable minibatch membership the epoch-level
   :class:`~repro.nn.data.BatchCache` replays every union from epoch 2
-  onwards; the guard asserts post-epoch-1 epochs run >= 1.5x faster than the
-  reference pipeline's post-epoch-1 epochs (whose own per-sample encoded
-  cache is already warm, so the comparison isolates batch assembly, edge
-  derivations and scatter-index reuse).
+  onwards; the guard asserts it served at least one hit.  Epoch times are
+  recorded, not gated: the tree holds no second trainer to compare against.
 
 Results land in ``benchmarks/results/BENCH_cold_path.json`` and feed the CI
 perf-trend gate (``benchmarks/check_trend.py``).
@@ -46,6 +43,7 @@ import numpy as np
 import pytest
 
 from conftest import RESULTS_DIR, env_int, format_table, peak_rss_mb, write_result
+from reference import reference_predict
 from repro.core import (
     HierarchicalModelConfig,
     HierarchicalQoRModel,
@@ -57,17 +55,16 @@ from repro.core.models import GlobalGNN
 from repro.core.trainer import GraphRegressorTrainer
 from repro.dse.space import sample_design_space
 from repro.kernels import KERNEL_SOURCES, load_kernel
-from repro.nn.autograd import reference_encoding
 
 pytestmark = pytest.mark.perf
 
 TIMED_KERNELS = ("gemm", "bicg")
 GUARDED_KERNEL = "gemm"
-#: vs the retained reference pipeline; raised from 2.0 when the columnar
-#: cold path landed (measured ~3.3-3.7x on gemm on the 1-core dev box)
-COLD_SWEEP_SPEEDUP_TARGET = 2.6
-SECONDARY_SPEEDUP_TARGETS = {"bicg": 2.2}
-EPOCH_SPEEDUP_TARGET = 1.5
+#: vs reference_predict: 80% of the lowest of eight perf-suite runs, rounded
+#: down to 0.1 (the runs read gemm 2.47-3.08x, bicg 2.89-3.78x on a 2-core
+#: VM; BASELINE.json holds the lowest run, rounded down)
+COLD_SWEEP_SPEEDUP_TARGET = 1.9
+SECONDARY_SPEEDUP_TARGETS = {"bicg": 2.3}
 EQUIVALENCE_TOLERANCE = 1e-9
 
 
@@ -88,12 +85,15 @@ def _train_model() -> HierarchicalQoRModel:
 
 
 def _cold_sweep(model, function, space, *, reference: bool):
-    """One first-contact sweep from empty caches; returns seconds + outputs."""
+    """One first-contact sweep; returns seconds + outputs.
+
+    The production sweep starts from empty inference caches; the reference
+    predictor keeps no caches to clear.
+    """
     model.clear_inference_caches()
     start = time.perf_counter()
     if reference:
-        with reference_encoding():
-            outputs = model.predict_batch(function, space)
+        outputs = [reference_predict(model, function, config) for config in space]
     else:
         outputs = model.predict_batch(function, space)
     return time.perf_counter() - start, outputs
@@ -117,24 +117,16 @@ def _max_rel_error(expected, actual) -> float:
     return worst
 
 
-def _train_flat(samples, *, epochs: int, reference: bool):
+def _train_flat(samples, *, epochs: int):
     """One trainer run over flat samples; returns (result, trainer)."""
-    config = TrainingConfig(
-        epochs=epochs, batch_size=8, seed=0, patience=epochs,
-        regroup_each_epoch=reference,
-    )
+    config = TrainingConfig(epochs=epochs, batch_size=8, seed=0, patience=epochs)
     trainer = GraphRegressorTrainer(None, ("lut", "latency"), config)
     trainer.fit_preprocessing(samples)
     trainer.model = GlobalGNN(
         in_features=trainer.input_dim(samples), hidden=32, num_layers=3,
         conv_type="graphsage", rng=np.random.default_rng(0),
     )
-    if reference:
-        with reference_encoding():
-            result = trainer.train(samples)
-    else:
-        result = trainer.train(samples)
-    return result, trainer
+    return trainer.train(samples), trainer
 
 
 def test_cold_path_vectorized_encoding():
@@ -144,7 +136,7 @@ def test_cold_path_vectorized_encoding():
     eq_configs = max(2, env_int("REPRO_BENCH_COLD_EQ_CONFIGS", 6))
 
     # ---------------------------------------------------------------- #
-    # 1) timed cold sweeps: reference vs vectorized pipeline
+    # 1) timed cold sweeps: reference predictor vs predict_batch
     # ---------------------------------------------------------------- #
     per_kernel: dict[str, dict] = {}
     rows = []
@@ -198,7 +190,8 @@ def test_cold_path_vectorized_encoding():
             f"{equivalence:.1e}",
         ])
         assert equivalence < EQUIVALENCE_TOLERANCE, (
-            f"{kernel}: vectorized sweep diverged from reference by {equivalence}"
+            f"{kernel}: predict_batch diverged from reference_predict by "
+            f"{equivalence}"
         )
 
     # ---------------------------------------------------------------- #
@@ -215,12 +208,12 @@ def test_cold_path_vectorized_encoding():
         error = _max_rel_error(ref_outputs, vec_outputs)
         equivalence_by_kernel[kernel] = error
         assert error < EQUIVALENCE_TOLERANCE, (
-            f"{kernel}: vectorized encoder diverged from the reference "
-            f"encoder by {error}"
+            f"{kernel}: predict_batch diverged from reference_predict by "
+            f"{error}"
         )
 
     # ---------------------------------------------------------------- #
-    # 3) training: epoch-cached unions vs the reference pipeline
+    # 3) training: epoch-cached unions
     # ---------------------------------------------------------------- #
     function = load_kernel(GUARDED_KERNEL)
     train_space = sample_design_space(
@@ -233,22 +226,16 @@ def test_cold_path_vectorized_encoding():
     )
     samples = [flat_sample(instance) for instance in instances]
     epochs = max(4, env_int("REPRO_BENCH_PERF_EPOCHS", 10))
-    ref_result, _ = _train_flat(samples, epochs=epochs, reference=True)
-    vec_result, vec_trainer = _train_flat(samples, epochs=epochs, reference=False)
-    ref_post1 = float(np.mean(ref_result.epoch_seconds[1:]))
-    vec_post1 = float(np.mean(vec_result.epoch_seconds[1:]))
-    epoch_speedup = ref_post1 / vec_post1
-    warmup_ratio = float(vec_result.epoch_seconds[0]) / vec_post1
-    batch_cache_stats = vec_trainer._batch_cache.stats()
+    result, trainer = _train_flat(samples, epochs=epochs)
+    post1 = float(np.mean(result.epoch_seconds[1:]))
+    warmup_ratio = float(result.epoch_seconds[0]) / post1
+    batch_cache_stats = trainer._batch_cache.stats()
     training = {
         "num_samples": len(samples),
         "epochs": epochs,
         "batch_size": 8,
-        "reference_epoch_seconds": [round(s, 6) for s in ref_result.epoch_seconds],
-        "vectorized_epoch_seconds": [round(s, 6) for s in vec_result.epoch_seconds],
-        "reference_post_epoch1_mean_seconds": round(ref_post1, 6),
-        "vectorized_post_epoch1_mean_seconds": round(vec_post1, 6),
-        "epoch_speedup": round(epoch_speedup, 2),
+        "epoch_seconds": [round(s, 6) for s in result.epoch_seconds],
+        "post_epoch1_mean_seconds": round(post1, 6),
         "first_epoch_over_cached_epoch": round(warmup_ratio, 2),
         "batch_cache": batch_cache_stats,
     }
@@ -258,7 +245,6 @@ def test_cold_path_vectorized_encoding():
         "space_size": space_size,
         "measured_sweeps": sweeps,
         "cold_sweep_speedup_target": COLD_SWEEP_SPEEDUP_TARGET,
-        "epoch_speedup_target": EPOCH_SPEEDUP_TARGET,
         "guarded_kernel": GUARDED_KERNEL,
         "kernels": per_kernel,
         "equivalence_max_rel_error_by_kernel": {
@@ -279,12 +265,12 @@ def test_cold_path_vectorized_encoding():
             ["kernel", "reference c/s", "vectorized c/s", "speedup", "max err"],
             rows,
             title=(
-                f"Cold-path encoding throughput — {space_size} configs, best "
-                f"of {sweeps} cold sweeps (c/s = end-to-end predict_batch "
-                f"configs per second from empty caches); training epochs "
-                f"(n={len(samples)}, batch 8): reference "
-                f"{ref_post1:.3f}s/epoch vs cached {vec_post1:.3f}s/epoch "
-                f"= {epoch_speedup:.2f}x after epoch 1"
+                f"Cold-path throughput — {space_size} configs, best of "
+                f"{sweeps} cold sweeps (c/s = configs per second: "
+                f"reference_predict per config vs predict_batch from empty "
+                f"caches); training epochs (n={len(samples)}, batch 8): "
+                f"first {result.epoch_seconds[0]:.3f}s, cached "
+                f"{post1:.3f}s/epoch after epoch 1"
             ),
         ),
     )
@@ -295,18 +281,14 @@ def test_cold_path_vectorized_encoding():
     guarded = per_kernel[GUARDED_KERNEL]["cold_sweep_speedup"]
     assert guarded >= COLD_SWEEP_SPEEDUP_TARGET, (
         f"cold-sweep speedup {guarded:.2f}x on {GUARDED_KERNEL} is below the "
-        f"{COLD_SWEEP_SPEEDUP_TARGET}x columnar-cold-path target"
+        f"{COLD_SWEEP_SPEEDUP_TARGET}x target vs reference_predict"
     )
     for kernel, target in SECONDARY_SPEEDUP_TARGETS.items():
         measured = per_kernel[kernel]["cold_sweep_speedup"]
         assert measured >= target, (
             f"cold-sweep speedup {measured:.2f}x on {kernel} is below the "
-            f"{target}x columnar-cold-path target"
+            f"{target}x target vs reference_predict"
         )
     assert batch_cache_stats["batch_cache_hits"] > 0, (
         "the epoch-level batch cache never replayed a union during training"
-    )
-    assert epoch_speedup >= EPOCH_SPEEDUP_TARGET, (
-        f"post-epoch-1 epoch speedup {epoch_speedup:.2f}x is below the "
-        f"{EPOCH_SPEEDUP_TARGET}x epoch-cache target"
     )

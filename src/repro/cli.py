@@ -48,7 +48,7 @@ from repro.core import (
 from repro.dse import FunnelExplorer, ModelGuidedExplorer, exhaustive_ground_truth
 from repro.dse.sharding import SHARD_STRATEGIES
 from repro.dse.space import sample_design_space
-from repro.frontend import ArrayDirective, LoopDirective, PartitionType, PragmaConfig
+from repro.frontend import PragmaConfig, config_from_specs
 from repro.hls import run_full_flow
 from repro.ir import lower_source
 from repro.kernels import KERNEL_SOURCES, load_kernel
@@ -74,45 +74,17 @@ def _load_function(args: argparse.Namespace):
 
 
 def parse_config(loop_specs: list[str], array_specs: list[str]) -> PragmaConfig:
-    """Build a :class:`PragmaConfig` from CLI option strings.
+    """Build a :class:`PragmaConfig` from the ``--loop``/``--array`` options.
 
     Loop options look like ``L0_0=pipeline``, ``L0=unroll:4``,
     ``L0=pipeline+unroll:2`` or ``L0=flatten``; array options look like
-    ``A=cyclic:4:2`` (type : factor : dim).
+    ``A=cyclic:4:2`` (type : factor : dim).  A malformed option exits with
+    the parser's message (see :func:`repro.frontend.config_from_specs`).
     """
-    loops: dict[str, LoopDirective] = {}
-    for spec in loop_specs or []:
-        label, _, directives = spec.partition("=")
-        pipeline = flatten = False
-        unroll = 1
-        ii = 0
-        for part in directives.split("+"):
-            name, _, value = part.partition(":")
-            name = name.strip().lower()
-            if name == "pipeline":
-                pipeline = True
-                if value:
-                    ii = int(value)
-            elif name == "unroll":
-                unroll = int(value) if value else 0
-            elif name == "flatten":
-                flatten = True
-            elif name:
-                raise SystemExit(f"unknown loop directive {name!r} in {spec!r}")
-        loops[label.strip()] = LoopDirective(
-            pipeline=pipeline, ii=ii, unroll_factor=unroll, flatten=flatten
-        )
-    arrays: dict[str, ArrayDirective] = {}
-    for spec in array_specs or []:
-        name, _, directives = spec.partition("=")
-        parts = directives.split(":")
-        partition_type = PartitionType(parts[0].strip().lower())
-        factor = int(parts[1]) if len(parts) > 1 else 2
-        dim = int(parts[2]) if len(parts) > 2 else 1
-        arrays[name.strip()] = ArrayDirective(
-            partition_type=partition_type, factor=factor, dim=dim
-        )
-    return PragmaConfig.from_dicts(loops, arrays)
+    try:
+        return config_from_specs(loop_specs, array_specs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------- #

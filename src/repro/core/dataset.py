@@ -102,10 +102,9 @@ def graph_to_sample(
 ) -> GraphSample:
     """Convert an annotated CDFG into a :class:`GraphSample`.
 
-    On the columnar path this is a zero-copy handoff: the sample's feature
-    matrix and edge index are live views of the graph's columns, and the
-    interned optype codes ride along so encoders can skip per-node string
-    resolution entirely.
+    A zero-copy handoff: the sample's feature matrix and edge index are live
+    views of the graph's columns, and the interned optype codes ride along
+    so encoders can skip per-node string resolution entirely.
     """
     return GraphSample(
         optypes=graph.optype_list(),

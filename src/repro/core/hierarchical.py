@@ -40,7 +40,7 @@ from repro.graph.hierarchy import (
 from repro.hls.op_library import DEFAULT_LIBRARY, OperatorLibrary
 from repro.core.lru import LRUDict
 from repro.ir.structure import IRFunction
-from repro.flags import normalize_precision, reference_encoding_active
+from repro.flags import normalize_precision
 from repro.nn.data import GraphSample, train_validation_test_split
 
 #: column of each Table II feature in a sample's numerical feature matrix
@@ -72,8 +72,8 @@ class _OuterSampleTemplate:
     #: super-node row ids per inner-unit loop label
     super_rows: dict[str, np.ndarray]
     #: per super-node row, the ``invocations`` factor of the ``work`` feature
-    #: (``features.get("invocations", 1.0)`` — note the 1.0 default, which
-    #: differs from the feature matrix's 0.0 fill for absent features)
+    #: (a never-written 0.0 count reads as 1.0, as in
+    #: :func:`~repro.graph.features.annotate_super_node`)
     work_invocations: dict[str, np.ndarray]
 
 
@@ -98,8 +98,6 @@ def _build_outer_template(graph: CDFG) -> _OuterSampleTemplate:
     work_invocations = {}
     for label, ids in super_rows.items():
         invocations = invocations_column[ids].copy()
-        # mirror the dict path's ``get("invocations", 1.0)`` default for
-        # never-written rows (the columnar fill is 0.0)
         invocations[invocations == 0.0] = 1.0
         work_invocations[label] = invocations
     return _OuterSampleTemplate(
@@ -592,54 +590,42 @@ class HierarchicalQoRModel:
         if not pending:
             return [dict(served[s]) for s in signatures]
 
-        # 1) resolve every pending design to its inner-unit keys, an outer
-        #    sample template and (only when the delta has never been seen) a
-        #    fresh decomposition.  A design whose outer template and unit
-        #    samples are all cached is served without building or copying a
-        #    single graph; the retained reference pipeline (see
-        #    :func:`repro.nn.autograd.reference_encoding`) always decomposes
-        #    and annotates graphs node by node.
-        use_templates = not reference_encoding_active()
+        # 1) resolve every pending design to its inner-unit keys and an
+        #    outer sample template, decomposing only when the delta has never
+        #    been seen.  A design whose outer template and unit samples are
+        #    all cached is served without building or copying a single graph.
         pending_units: list[tuple[tuple[str, str], ...]] = []
-        templates: list[_OuterSampleTemplate | None] = []
-        decompositions: list[HierarchicalDecomposition | None] = []
+        templates: list[_OuterSampleTemplate] = []
         for signature, config in pending:
             outer_key, signature_units = signature[1]
             template_key = (fingerprint, outer_key)
-            template = (
-                self._outer_template_cache.get(template_key)
-                if use_templates else None
-            )
+            template = self._outer_template_cache.get(template_key)
             units_known = all(
                 (fingerprint, unit_key) in self._unit_sample_cache
                 and (fingerprint, unit_key) in self._unit_pipelined
                 for _, unit_key in signature_units
             )
-            decomposition = None
+            unit_keys = tuple(signature_units)
             if template is None or not units_known:
-                # the fast path never annotates the outer graph, so the
-                # pristine cached instance can be shared without a copy
+                # templates never annotate the outer graph, so the pristine
+                # cached instance can be shared without a copy
                 decomposition = decompose(
                     function, config, library=self.library,
-                    cache=self._graph_cache, outer_copy=not use_templates,
+                    cache=self._graph_cache, outer_copy=False,
                 )
                 for unit in decomposition.inner_units:
                     key = self._unit_key(function, unit)
                     self._unit_pipelined[key] = unit.pipelined
                     self._unit_sample(function, unit)
-                if use_templates and template is None:
+                if template is None:
                     template = _build_outer_template(decomposition.outer_graph)
                     self._outer_template_cache[template_key] = template
-            if decomposition is not None:
                 unit_keys = tuple(
                     (unit.label, unit.cache_key)
                     for unit in decomposition.inner_units
                 )
-            else:
-                unit_keys = tuple(signature_units)
             pending_units.append(unit_keys)
             templates.append(template)
-            decompositions.append(decomposition)
 
         # 2) unique inner-loop units across the pending designs, grouped by
         #    the trainer that scores them (GNNp / GNNnp with cross-fallback),
@@ -664,32 +650,17 @@ class HierarchicalQoRModel:
                     name: float(values[index]) for name, values in outputs.items()
                 }
 
-        # 3) write the inner predictions onto each design's super nodes —
-        #    straight into a copy of the template's feature matrix on the
-        #    fast path, or through per-node graph annotation on the
-        #    reference path — and collect the outer samples
-        outer_samples: list[GraphSample] = []
-        for index, (signature, config) in enumerate(pending):
-            template = templates[index]
-            if template is not None:
-                outer_samples.append(self._outer_sample_from_template(
-                    template, pending_units[index], fingerprint, config,
-                    inner_predictions,
-                ))
-                continue
-            decomposition = decompositions[index]
-            for unit in decomposition.inner_units:
-                prediction = inner_predictions[self._unit_key(function, unit)]
-                for node_id in decomposition.super_node_ids(unit.label):
-                    annotate_super_node(
-                        decomposition.outer_graph, node_id,
-                        latency=prediction.get("latency", 0.0),
-                        lut=prediction.get("lut", 0.0),
-                        ff=prediction.get("ff", 0.0),
-                        dsp=prediction.get("dsp", 0.0),
-                        iteration_latency=prediction.get("iteration_latency", 0.0),
-                    )
-            outer_samples.append(graph_to_sample(decomposition.outer_graph))
+        # 3) write the inner predictions onto each design's super nodes,
+        #    straight into a copy of its template's feature matrix, and
+        #    collect the outer samples
+        outer_samples = [
+            self._outer_sample_from_template(
+                template, unit_keys, fingerprint, config, inner_predictions
+            )
+            for template, unit_keys, (_, config) in zip(
+                templates, pending_units, pending
+            )
+        ]
 
         # 4) one batched GNNg pass over the condensed graphs; memoize per
         #    design delta and scatter back onto the configuration order

@@ -3,10 +3,10 @@
 Each QoR model follows the same four-stage architecture:
 
 1. **feature encoder** — one-hot optype concatenated with the numerical
-   Table II features, projected by a linear layer.  On the vectorized
-   encoding path :func:`repro.nn.data.make_batch` hands over per-node optype
-   *codes* instead of the one-hot block and the projection runs as an
-   embedding gather from the encoder's own weight rows
+   Table II features, projected by a linear layer.
+   :func:`repro.nn.data.make_batch` hands over per-node optype *codes*
+   instead of the one-hot block and the projection runs as an embedding
+   gather from the encoder's own weight rows
    (:func:`repro.nn.autograd.embedding_linear`) — the same product without
    the one-hot matrix ever existing;
 2. **propagation layers** — three message-passing layers of a selectable
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.flags import reference_encoding_active
 from repro.nn.autograd import Tensor, concat, embedding_linear, relu_add
 from repro.nn.data import Batch
 from repro.nn.layers import MLP, Linear, Module
@@ -78,23 +77,15 @@ class GNNEncoder(Module):
         ]
 
     def forward(self, batch: Batch) -> Tensor:
-        if batch.optype_codes is not None:
-            # codes layout: the first projection doubles as the optype
-            # embedding table — gather its rows by code instead of
-            # multiplying the (elided) one-hot block
-            x = embedding_linear(
-                batch.optype_codes, batch.x, self.encoder.weight,
-                self.encoder.bias, batch.onehot_dim,
-            ).relu()
-        else:
-            x = self.encoder(Tensor(batch.x)).relu()
-        if reference_encoding_active():
-            for conv in self.convs:
-                x = conv(x, batch.edge_index).relu() + x  # residual connection
-        else:
-            for conv in self.convs:
-                # fused relu + residual: same values, one temporary fewer
-                x = relu_add(conv(x, batch.edge_index), x)
+        # the first projection doubles as the optype embedding table: gather
+        # its rows by code instead of multiplying the (elided) one-hot block
+        x = embedding_linear(
+            batch.optype_codes, batch.x, self.encoder.weight,
+            self.encoder.bias, batch.onehot_dim,
+        ).relu()
+        for conv in self.convs:
+            # fused relu + residual connection
+            x = relu_add(conv(x, batch.edge_index), x)
         pooled = sum_max_pool(x, batch.batch, batch.num_graphs)
         # signed log compression keeps the graph-size signal carried by the
         # sum-pool component while keeping the embedding well conditioned for

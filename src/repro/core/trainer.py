@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.flags import normalize_precision, precision, reference_encoding_active
+from repro.flags import normalize_precision, precision
 from repro.nn.autograd import PRECISION_DTYPES
 from repro.nn.data import (
     Batch,
@@ -34,19 +34,10 @@ from repro.nn.optim import Adam
 class TrainingConfig:
     """Hyper-parameters of one training run.
 
-    ``regroup_each_epoch`` controls minibatch membership across epochs: by
-    default the training set is partitioned into minibatches once (with the
-    seeded shuffle) and only the *order* of the minibatches is reshuffled per
-    epoch, which lets the trainer's :class:`~repro.nn.data.BatchCache` replay
-    each minibatch's assembled disjoint union from epoch 2 onwards.  Setting
-    it to ``True`` restores per-epoch regrouping (fresh membership every
-    epoch); the batch cache then misses cleanly on the new groupings.
-
-    Note that the default changes the *training trajectory* relative to
-    per-epoch regrouping: both are seeded-shuffle protocols, but the
-    grouping stream differs, so converged weights and per-cell MAPEs move
-    (in both directions) within the guarded thresholds.  Inference is
-    unaffected either way.
+    The training set is partitioned into minibatches once (with the seeded
+    shuffle) and only the *order* of the minibatches is reshuffled per
+    epoch, which lets the trainer's :class:`~repro.nn.data.BatchCache`
+    replay each minibatch's assembled disjoint union from epoch 2 onwards.
     """
 
     epochs: int = 60
@@ -57,7 +48,6 @@ class TrainingConfig:
     patience: int = 15
     seed: int = 0
     verbose: bool = False
-    regroup_each_epoch: bool = False
 
 
 @dataclass
@@ -87,9 +77,7 @@ class GraphRegressorTrainer:
         self.encoder: OptypeEncoder | None = None
         self.feature_scaler: FeatureScaler | None = None
         self.target_scalers: dict[str, TargetScaler] = {}
-        #: per-sample encoded rows: (sample, rows, totals) triples on the
-        #: reference path, (sample, numeric rows, totals, codes) on the
-        #: vectorized path — each layout validates its own entries
+        #: per-sample encoded (sample, numeric rows, totals, codes) entries
         self._encoded_cache: dict[int, tuple] = {}
         self._batch_cache = BatchCache()
         #: active inference tier; training always runs float64
@@ -164,8 +152,7 @@ class GraphRegressorTrainer:
         """
         if self.encoder is None or self.feature_scaler is None:
             raise RuntimeError("call fit_preprocessing before prepare_batch")
-        use_cache = cache and not reference_encoding_active()
-        if use_cache:
+        if cache:
             cached = self._batch_cache.get(samples)
             if cached is not None:
                 return cached
@@ -173,7 +160,7 @@ class GraphRegressorTrainer:
             samples, self.encoder, self.feature_scaler, self.target_names,
             encoded_cache=self._encoded_cache,
         )
-        if use_cache:
+        if cache:
             self._batch_cache.put(samples, batch)
         return batch
 
@@ -208,18 +195,16 @@ class GraphRegressorTrainer:
         best_score = float("inf")
         best_state = self.model.state_dict()
         epochs_without_improvement = 0
-        # minibatch membership: fixed after the first (seeded-shuffle)
-        # partition unless regroup_each_epoch asks for fresh groupings —
-        # stable groups are what makes the epoch-level batch cache replay
-        # each union instead of reassembling it every epoch
-        groups: list[list[GraphSample]] = []
+        # minibatch membership is fixed by the first (seeded-shuffle)
+        # partition and only the group order is reshuffled per epoch: stable
+        # groups are what makes the epoch-level batch cache replay each
+        # union instead of reassembling it every epoch
+        groups = list(iterate_minibatches(
+            train_samples, config.batch_size, rng=rng, shuffle=True
+        ))
         for epoch in range(config.epochs):
             epoch_start = time.perf_counter()
-            if not groups or config.regroup_each_epoch:
-                groups = list(iterate_minibatches(
-                    train_samples, config.batch_size, rng=rng, shuffle=True
-                ))
-            elif epoch:
+            if epoch:
                 rng.shuffle(groups)
             self.model.train()
             epoch_loss = 0.0

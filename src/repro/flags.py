@@ -1,13 +1,9 @@
 """Process-wide runtime toggles, dependency-free by design.
 
-Three toggles live here, all at the bottom of the dependency graph so code at
+Two switches live here, at the bottom of the dependency graph so code at
 every layer — ``graph``, ``nn`` and ``core`` — can consult them without
 inverting the ``graph -> nn`` layering:
 
-* the *reference encoding* switch: the vectorized cold-path pipeline (union
-  encoder, batch/template caches, scatter-index and CSR memos, fused ops)
-  retains its pre-vectorization implementation for differential testing and
-  benchmarking;
 * the *precision* tier: ``float64`` (the bit-identical default and numerical
   reference) or ``float32`` (the cheap inference tier — roughly half the
   matmul bandwidth, guarded by a relaxed equivalence bound against the
@@ -19,7 +15,7 @@ inverting the ``graph -> nn`` layering:
   rewrite for differential testing and for benchmarking what the
   canonicalization buys.
 
-All toggles are backed by :class:`contextvars.ContextVar`, so concurrent
+Both switches are backed by :class:`contextvars.ContextVar`, so concurrent
 requests in a threaded or async serving daemon each see their own setting:
 ``with precision("float32")`` in one request cannot leak into another
 thread's forward pass, and the contextmanager API is unchanged from the
@@ -30,10 +26,6 @@ from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
-
-_REFERENCE_MODE: ContextVar[bool] = ContextVar(
-    "repro_reference_encoding", default=False
-)
 
 #: the supported precision tiers, canonical spelling first
 PRECISIONS = ("float64", "float32")
@@ -47,29 +39,6 @@ _PRECISION_ALIASES = {
 }
 
 _PRECISION: ContextVar[str] = ContextVar("repro_precision", default="float64")
-
-
-def reference_encoding_active() -> bool:
-    """Whether the retained reference (pre-vectorization) pipeline is forced."""
-    return _REFERENCE_MODE.get()
-
-
-@contextlib.contextmanager
-def reference_encoding():
-    """Force the reference encoding pipeline within the ``with`` block.
-
-    Used by differential tests and by ``benchmarks/test_perf_cold_path.py``
-    to time and verify the vectorized pipeline against the implementation it
-    replaced: inside the block, ``make_batch`` runs the per-sample reference
-    path, the trainers skip their batch caches, ``predict_batch`` skips its
-    outer-template fast path, and the scatter ops recompute their indices
-    (and skip their CSR operators) on every call.
-    """
-    token = _REFERENCE_MODE.set(True)
-    try:
-        yield
-    finally:
-        _REFERENCE_MODE.reset(token)
 
 
 _RAW_DIRECTIVES: ContextVar[bool] = ContextVar(
@@ -143,7 +112,6 @@ def precision(value: str):
 
 
 __all__ = [
-    "PRECISIONS", "reference_encoding", "reference_encoding_active",
-    "raw_directives", "canonical_directives_active",
+    "PRECISIONS", "raw_directives", "canonical_directives_active",
     "normalize_precision", "active_precision", "precision",
 ]

@@ -37,6 +37,7 @@ from repro.frontend.pragmas import (
     PragmaConfig,
     PragmaKind,
     config_from_pragmas,
+    config_from_specs,
     parse_pragma,
 )
 
@@ -49,5 +50,6 @@ __all__ = [
     "Lexer", "Token", "TokenKind", "tokenize",
     "Parser", "parse_function", "parse_source",
     "ArrayDirective", "LoopDirective", "PartitionType", "Pragma",
-    "PragmaConfig", "PragmaKind", "config_from_pragmas", "parse_pragma",
+    "PragmaConfig", "PragmaKind", "config_from_pragmas", "config_from_specs",
+    "parse_pragma",
 ]

@@ -264,7 +264,69 @@ def config_from_pragmas(
     return PragmaConfig.from_dicts(loops, arrays)
 
 
+def _spec_int(value: str, spec: str) -> int:
+    """``int(value)``, or a :class:`ValueError` naming the offending spec."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid number {value!r} in {spec!r}") from None
+
+
+def config_from_specs(
+    loop_specs: list[str], array_specs: list[str]
+) -> PragmaConfig:
+    """Build a :class:`PragmaConfig` from directive spec strings.
+
+    Loop specs look like ``L0_0=pipeline``, ``L0=unroll:4``,
+    ``L0=pipeline+unroll:2`` or ``L0=flatten``; array specs look like
+    ``A=cyclic:4:2`` (type : factor : dim).  This is the notation of the
+    CLI's ``--loop``/``--array`` options and of the serving protocol's
+    spec-string configurations.  An unknown directive, a non-integer number
+    or an unknown partition type raises :class:`ValueError` naming the spec.
+    """
+    loops: dict[str, LoopDirective] = {}
+    for spec in loop_specs or []:
+        label, _, directives = spec.partition("=")
+        pipeline = flatten = False
+        unroll = 1
+        ii = 0
+        for part in directives.split("+"):
+            name, _, value = part.partition(":")
+            name = name.strip().lower()
+            if name == "pipeline":
+                pipeline = True
+                if value:
+                    ii = _spec_int(value, spec)
+            elif name == "unroll":
+                unroll = _spec_int(value, spec) if value else 0
+            elif name == "flatten":
+                flatten = True
+            elif name:
+                raise ValueError(f"unknown loop directive {name!r} in {spec!r}")
+        loops[label.strip()] = LoopDirective(
+            pipeline=pipeline, ii=ii, unroll_factor=unroll, flatten=flatten
+        )
+    arrays: dict[str, ArrayDirective] = {}
+    for spec in array_specs or []:
+        name, _, directives = spec.partition("=")
+        parts = directives.split(":")
+        kind = parts[0].strip().lower()
+        try:
+            partition_type = PartitionType(kind)
+        except ValueError:
+            raise ValueError(
+                f"unknown partition type {kind!r} in {spec!r}"
+            ) from None
+        factor = _spec_int(parts[1], spec) if len(parts) > 1 else 2
+        dim = _spec_int(parts[2], spec) if len(parts) > 2 else 1
+        arrays[name.strip()] = ArrayDirective(
+            partition_type=partition_type, factor=factor, dim=dim
+        )
+    return PragmaConfig.from_dicts(loops, arrays)
+
+
 __all__ = [
     "Pragma", "PragmaKind", "PartitionType", "parse_pragma",
     "LoopDirective", "ArrayDirective", "PragmaConfig", "config_from_pragmas",
+    "config_from_specs",
 ]

@@ -140,58 +140,28 @@ def cdfg_to_payload(graph: CDFG) -> dict:
 def cdfg_from_payload(payload: dict) -> CDFG:
     """Rebuild a CDFG stored with :func:`cdfg_to_payload`.
 
-    Reads the columnar v2 layout (``optype_table`` + ``feature_rows``); the
-    pre-columnar per-node-dict layout is still accepted so payload dicts
-    produced by older code (e.g. fixtures) keep working — versioned warm
-    cache *blobs* from before the bump are discarded upstream regardless.
+    Reads the columnar v2 layout (``optype_table`` + ``feature_rows``): the
+    payload maps 1:1 onto the node columns, so the whole graph loads as list
+    comprehensions + one matrix build — no node objects, no per-node feature
+    writes.  Versioned warm-cache blobs from before the columnar layout are
+    discarded upstream.
     """
     graph = CDFG(name=payload["name"])
-    feature_rows = payload.get("feature_rows")
-    if feature_rows is None:
-        # legacy layout: per-node [.., features_dict] records
-        for optype, dtype, kind, loop_label, array, instr_id, replica, features in (
-            payload["nodes"]
-        ):
-            node = graph.add_node(
-                optype, kind=_NODE_KINDS[kind], dtype=dtype, loop_label=loop_label,
-                array=array, instr_id=int(instr_id), replica=int(replica),
-            )
-            node.features.update(
-                (name, float(value)) for name, value in features.items()
-            )
-    elif graph.feat is not None:
-        # columnar hydration: the payload maps 1:1 onto the node columns, so
-        # the whole graph loads as list comprehensions + one matrix build —
-        # no node objects, no per-node feature writes
-        table = [str(name) for name in payload["optype_table"]]
-        records = payload["nodes"]
-        graph.optype_table = table
-        graph._optype_index = {name: code for code, name in enumerate(table)}
-        graph.optype_codes = [int(record[0]) for record in records]
-        graph.node_dtypes = [record[1] for record in records]
-        graph.node_kinds = [_NODE_KINDS[record[2]] for record in records]
-        graph.node_loop_labels = [record[3] for record in records]
-        graph.node_arrays = [record[4] for record in records]
-        graph.node_instr_ids = [int(record[5]) for record in records]
-        graph.node_replicas = [int(record[6]) for record in records]
-        graph.feat.matrix = np.asarray(
-            feature_rows, dtype=np.float64
-        ).reshape(len(records), len(NODE_FEATURE_NAMES))
-        graph.feat.count = len(records)
-    else:  # hydrating while the reference pipeline is forced
-        table = payload["optype_table"]
-        matrix = np.asarray(feature_rows, dtype=np.float64)
-        for index, (code, dtype, kind, loop_label, array, instr_id, replica) in (
-            enumerate(payload["nodes"])
-        ):
-            node = graph.add_node(
-                table[code], kind=_NODE_KINDS[kind], dtype=dtype,
-                loop_label=loop_label, array=array, instr_id=int(instr_id),
-                replica=int(replica),
-            )
-            node.features.update(
-                zip(NODE_FEATURE_NAMES, matrix[index].tolist())
-            )
+    table = [str(name) for name in payload["optype_table"]]
+    records = payload["nodes"]
+    graph.optype_table = table
+    graph._optype_index = {name: code for code, name in enumerate(table)}
+    graph.optype_codes = [int(record[0]) for record in records]
+    graph.node_dtypes = [record[1] for record in records]
+    graph.node_kinds = [_NODE_KINDS[record[2]] for record in records]
+    graph.node_loop_labels = [record[3] for record in records]
+    graph.node_arrays = [record[4] for record in records]
+    graph.node_instr_ids = [int(record[5]) for record in records]
+    graph.node_replicas = [int(record[6]) for record in records]
+    graph.feat.matrix = np.asarray(
+        payload["feature_rows"], dtype=np.float64
+    ).reshape(len(records), len(NODE_FEATURE_NAMES))
+    graph.feat.count = len(records)
     src, dst, kinds = payload["edges"]
     graph._edges.extend(
         np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)

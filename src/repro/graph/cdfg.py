@@ -14,12 +14,7 @@ code column.  ``node.features`` stays a dict-like object — a
 :class:`_FeatureRow` view over the node's matrix row — so annotation code and
 tests keep their mapping idiom, while ``feature_matrix()`` is a zero-copy
 view, replica replay copies feature rows with one slice assignment, and
-``copy()``/``subgraph()`` move features as single array operations.  The
-pre-columnar representation (a real dict per node) is retained for the
-differential guards: graphs built under
-:func:`repro.flags.reference_encoding` or
-:func:`repro.graph.construction.naive_emission` store their features in
-per-node dicts exactly as before.
+``copy()``/``subgraph()`` move features as single array operations.
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
-
-from repro.flags import reference_encoding_active
 
 
 class NodeKind(Enum):
@@ -76,8 +69,8 @@ _NUM_FEATURES = len(NODE_FEATURE_NAMES)
 class _FeatureColumns:
     """Growable ``(N, len(NODE_FEATURE_NAMES))`` float64 feature block.
 
-    Row ``i`` holds node ``i``'s numerical features; unset features are 0.0
-    (matching the dict path's ``get(name, 0.0)`` semantics).  Appends grow
+    Row ``i`` holds node ``i``'s numerical features; unset features are
+    0.0.  Appends grow
     the backing matrix geometrically, replica replay extends it with one
     slice copy, and :meth:`view` hands out the live ``[:count]`` window
     without copying.
@@ -237,7 +230,7 @@ class _FeatureRow:
         column = FEATURE_COLUMN.get(name)
         if column is None:
             raise KeyError(
-                f"unknown node feature {name!r}; columnar CDFGs store exactly "
+                f"unknown node feature {name!r}; CDFGs store exactly "
                 f"{NODE_FEATURE_NAMES}"
             )
         self._store.matrix[self._row, column] = value
@@ -307,9 +300,9 @@ class CDFGNode:
 
     ``optype`` is the string fed to the one-hot encoder (IR opcode value,
     ``"ioport"`` for memory ports, ``"super_p"``/``"super_np"`` for super
-    nodes).  ``features`` maps :data:`NODE_FEATURE_NAMES` entries to values —
-    a plain dict on the retained reference path, a :class:`_FeatureRow` view
-    into the graph's columnar feature block otherwise.
+    nodes).  ``features`` maps :data:`NODE_FEATURE_NAMES` entries to values;
+    on every node a :class:`CDFG` hands out it is a :class:`_FeatureRow`
+    view into the graph's columnar feature block.
     """
 
     node_id: int
@@ -397,7 +390,7 @@ class CDFG:
     shared block either way.
     """
 
-    def __init__(self, name: str = "cdfg", *, columnar: bool | None = None):
+    def __init__(self, name: str = "cdfg"):
         self.name = name
         self._edges = _EdgeColumns()
         self.edge_kinds: list[EdgeKind] = []
@@ -406,10 +399,8 @@ class CDFG:
         self.loop_features: LoopLevelFeatures = LoopLevelFeatures()
         #: free-form metadata (kernel name, config description, loop label...)
         self.metadata: dict[str, str] = {}
-        #: columnar node-feature block (None on the retained dict path)
-        if columnar is None:
-            columnar = not reference_encoding_active()
-        self.feat: _FeatureColumns | None = _FeatureColumns() if columnar else None
+        #: columnar node-feature block
+        self.feat = _FeatureColumns()
         #: per-graph optype interning: code per node + the code -> string table
         self.optype_codes: list[int] = []
         self._optype_index: dict[str, int] = {}
@@ -422,15 +413,9 @@ class CDFG:
         self.node_arrays: list[str] = []
         self.node_instr_ids: list[int] = []
         self.node_replicas: list[int] = []
-        #: eagerly-created prefix of the node-object view (always complete
-        #: on the dict path; on the columnar path replica replay leaves a
-        #: tail that only materializes if someone asks for `nodes`)
+        #: eagerly-created prefix of the node-object view (replica replay
+        #: leaves a tail that only materializes if someone asks for `nodes`)
         self._materialized: list[CDFGNode] = []
-
-    @property
-    def columnar(self) -> bool:
-        """Whether node features live in the columnar block."""
-        return self.feat is not None
 
     def intern_optype(self, optype: str) -> int:
         """The per-graph integer code of ``optype`` (interned on first use)."""
@@ -519,14 +504,9 @@ class CDFG:
         self.node_arrays.append(array)
         self.node_instr_ids.append(instr_id)
         self.node_replicas.append(replica)
-        store = self.feat
-        if store is None:
-            node_features: dict[str, float] | _FeatureRow = dict(features or {})
-        else:
-            row = store.append_row()
-            node_features = _FeatureRow(store, row)
-            if features:
-                node_features.update(features)
+        node_features = _FeatureRow(self.feat, self.feat.append_row())
+        if features:
+            node_features.update(features)
         node = CDFGNode(
             node_id=node_id, kind=kind, optype=optype, dtype=dtype,
             loop_label=loop_label, array=array, instr_id=instr_id,
@@ -560,18 +540,17 @@ class CDFG:
         self.node_arrays.append(array)
         self.node_instr_ids.append(instr_id)
         self.node_replicas.append(replica)
-        if self.feat is not None:
-            self.feat.append_row()
+        self.feat.append_row()
         return node_id
 
     def extend_replica_span(self, start: int, stop: int) -> None:
         """Bulk-append copies of nodes ``[start, stop)`` (replica replay).
 
-        Every node column — identity attributes, optype codes and, on the
-        columnar path, the feature rows — is extended with one C-level slice
-        copy; **no node objects are created** (the object view materializes
-        lazily if ever requested).  The caller rewrites the replica-
-        dependent pieces (``node_replicas`` entries) afterwards.
+        Every node column — identity attributes, optype codes and the
+        feature rows — is extended with one C-level slice copy; **no node
+        objects are created** (the object view materializes lazily if ever
+        requested).  The caller rewrites the replica-dependent pieces
+        (``node_replicas`` entries) afterwards.
         """
         self.optype_codes.extend(self.optype_codes[start:stop])
         self.node_kinds.extend(self.node_kinds[start:stop])
@@ -580,8 +559,7 @@ class CDFG:
         self.node_arrays.extend(self.node_arrays[start:stop])
         self.node_instr_ids.extend(self.node_instr_ids[start:stop])
         self.node_replicas.extend(self.node_replicas[start:stop])
-        if self.feat is not None:
-            self.feat.append_block(start, stop)
+        self.feat.append_block(start, stop)
 
     def add_edge(self, src: int, dst: int, kind: EdgeKind = EdgeKind.DATA) -> None:
         if src == dst:
@@ -680,14 +658,13 @@ class CDFG:
     def subgraph(self, node_ids: list[int], name: str = "") -> "CDFG":
         """Induced subgraph over ``node_ids`` (node ids are re-numbered)."""
         keep = {old: new for new, old in enumerate(node_ids)}
-        sub = CDFG(name=name or f"{self.name}.sub", columnar=self.columnar)
-        store = sub.feat
-        if store is not None and node_ids:
+        sub = CDFG(name=name or f"{self.name}.sub")
+        if node_ids:
             # one fancy-indexed copy instead of per-node feature transfers
-            store.matrix = self.feature_matrix()[
+            sub.feat.matrix = self.feature_matrix()[
                 np.asarray(node_ids, dtype=np.int64)
             ].copy()
-            store.count = len(node_ids)
+            sub.feat.count = len(node_ids)
         table = self.optype_table
         for old_id in node_ids:
             sub.optype_codes.append(
@@ -699,19 +676,6 @@ class CDFG:
             sub.node_arrays.append(self.node_arrays[old_id])
             sub.node_instr_ids.append(self.node_instr_ids[old_id])
             sub.node_replicas.append(self.node_replicas[old_id])
-        if store is None:
-            # dict path: eagerly clone the node objects with their dicts
-            for old_id in node_ids:
-                source = self.nodes[old_id]
-                sub._materialized.append(
-                    CDFGNode(
-                        node_id=keep[old_id], kind=source.kind,
-                        optype=source.optype, dtype=source.dtype,
-                        loop_label=source.loop_label, array=source.array,
-                        instr_id=source.instr_id, replica=source.replica,
-                        features=dict(source.features),
-                    )
-                )
         for src, dst, kind in zip(self.edge_src, self.edge_dst, self.edge_kinds):
             src = int(src)
             dst = int(dst)
@@ -739,60 +703,27 @@ class CDFG:
     def copy(self) -> "CDFG":
         """An independent copy sharing no mutable state with the original.
 
-        On the columnar path the whole copy is a handful of C-level list
-        copies plus one feature-matrix copy — **no node objects** (the
-        clone's object view materializes lazily).  On the retained
-        reference path node feature dicts are duplicated per node because
-        callers annotate them in place (e.g. super-node QoR annotation).
+        The whole copy is a handful of C-level list copies plus one
+        feature-matrix copy — **no node objects** (the clone's object view
+        materializes lazily).
         """
-        clone = CDFG(name=self.name, columnar=self.columnar)
+        clone = CDFG(name=self.name)
         self._copy_columns_into(clone)
         clone.loop_features = self.loop_features
         clone.metadata = dict(self.metadata)
-        if self.feat is not None:
-            clone.feat = self.feat.copy()
-            return clone
-        new_node = CDFGNode.__new__
-        nodes = clone._materialized
-        for node in self.nodes:
-            fields = dict(node.__dict__)
-            fields["features"] = dict(fields["features"])
-            duplicate = new_node(CDFGNode)
-            duplicate.__dict__ = fields
-            nodes.append(duplicate)
+        clone.feat = self.feat.copy()
         return clone
 
     def feature_matrix(self) -> np.ndarray:
         """(N, len(NODE_FEATURE_NAMES)) matrix of numerical node features.
 
-        On the columnar path this is a **zero-copy, read-only view** of the
-        live rows of the feature block — writes through any node's
-        ``features`` are visible to every view, but the view itself is
-        marked non-writeable (all views share one backing block, so an
-        in-place edit would corrupt every consumer).  Consumers that need a
-        mutable matrix copy it explicitly.
+        A **zero-copy, read-only view** of the live rows of the feature
+        block — writes through any node's ``features`` are visible to every
+        view, but the view itself is marked non-writeable (all views share
+        one backing block, so an in-place edit would corrupt every
+        consumer).  Consumers that need a mutable matrix copy it explicitly.
         """
-        if self.feat is not None:
-            return self.feat.view()
-        if not self.nodes:
-            return np.zeros((0, len(NODE_FEATURE_NAMES)))
-        names = NODE_FEATURE_NAMES
-        if reference_encoding_active():
-            # retained reference path: one list + row assignment per node
-            matrix = np.empty((len(self.nodes), len(names)), dtype=np.float64)
-            for row, node in enumerate(self.nodes):
-                get = node.features.get
-                matrix[row] = [get(name, 0.0) for name in names]
-            return matrix
-        # one flat pass and a single list->array conversion for the whole
-        # graph: no per-node list objects or row-wise assignments
-        flat = [
-            node.features.get(name, 0.0)
-            for node in self.nodes for name in names
-        ]
-        return np.asarray(flat, dtype=np.float64).reshape(
-            len(self.nodes), len(names)
-        )
+        return self.feat.view()
 
     def optype_list(self) -> list[str]:
         """Per-node optype strings (memoized: callers get a stable list

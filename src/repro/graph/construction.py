@@ -37,10 +37,9 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.flags import reference_encoding_active
 from repro.frontend.pragmas import ArrayDirective, PartitionType, PragmaConfig
 from repro.graph.cache import FunctionSkeleton
-from repro.graph.cdfg import CDFG, FEATURE_COLUMN, CDFGNode, EdgeKind, NodeKind
+from repro.graph.cdfg import CDFG, FEATURE_COLUMN, EdgeKind, NodeKind
 from repro.hls.directives import effective_unroll_factors, partition_banks
 from repro.hls.op_library import DEFAULT_LIBRARY, MEMORY_PORT, OperatorLibrary
 from repro.ir.instructions import Instruction, Opcode
@@ -59,7 +58,7 @@ DEFAULT_REPLAY_UNROLL = True
 _BANKS_FIXED = "fixed"
 _BANKS_CYCLIC = "cyclic"
 
-#: feature-column indices used by the columnar emission path
+#: feature-column indices written during emission
 _COL_INVOCATIONS = FEATURE_COLUMN["invocations"]
 _COL_IN_DEGREE = FEATURE_COLUMN["in_degree"]
 _COL_OUT_DEGREE = FEATURE_COLUMN["out_degree"]
@@ -71,6 +70,8 @@ def naive_emission():
 
     Used by the differential tests and benchmarks to build graphs through
     code paths (``decompose``, ``predict``) that do not expose the builder.
+    Naive emission writes the same columnar storage as replica replay, one
+    node at a time.
     """
     global DEFAULT_REPLAY_UNROLL
     previous = DEFAULT_REPLAY_UNROLL
@@ -86,10 +87,10 @@ def _gc_paused():
     """Suspend the cyclic garbage collector for the duration of one build.
 
     Construction allocates tens of thousands of small acyclic objects
-    (nodes, feature dicts, edge columns); generation-0 collections triggered
-    mid-build re-scan the growing graph without ever finding a cycle to
-    free.  Pausing the collector removes those stalls — and their large
-    run-to-run variance — from the hot path.
+    (column entries, value scopes, replay records); generation-0
+    collections triggered mid-build re-scan the growing graph without ever
+    finding a cycle to free.  Pausing the collector removes those stalls —
+    and their large run-to-run variance — from the hot path.
     """
     if not gc.isenabled():
         yield
@@ -256,11 +257,6 @@ class GraphBuilder:
         self.replay_unroll = (
             DEFAULT_REPLAY_UNROLL if replay_unroll is None else replay_unroll
         )
-        # columnar feature storage rides the same switch as replica replay:
-        # naive emission (and the reference encoding pipeline) builds graphs
-        # with the retained per-node feature dicts, which is what the
-        # columnar differential guards compare against
-        self._columnar = self.replay_unroll and not reference_encoding_active()
         self._var_to_loop: dict[str, str] | None = (
             skeleton.var_to_loop if skeleton is not None else None
         )
@@ -270,7 +266,7 @@ class GraphBuilder:
             self.unroll = unroll_factors
         else:
             self.unroll = effective_unroll_factors(function, self.config)
-        self.cdfg = CDFG(name=function.name, columnar=self._columnar)
+        self.cdfg = CDFG(name=function.name)
         self._port_nodes: dict[str, list[int]] = {}
         #: memoized per-instruction bank-connection rules (see _bank_rule)
         self._bank_rules: dict[int, tuple] = {}
@@ -297,9 +293,7 @@ class GraphBuilder:
         GraphBuilder.build_count += 1
         started = perf_counter()
         with _gc_paused():
-            self.cdfg = CDFG(
-                name=f"{self.function.name}:{loop.label}", columnar=self._columnar
-            )
+            self.cdfg = CDFG(name=f"{self.function.name}:{loop.label}")
             self._port_nodes = {}
             self._bank_rules = {}
             touched = self._arrays_touched(loop)
@@ -335,26 +329,11 @@ class GraphBuilder:
             banks = min(banks, self.max_replication)
             node_ids = []
             for bank in range(banks):
-                if feat is not None:
-                    node_id = self.cdfg.append_node(
-                        IOPORT_OPTYPE, NodeKind.MEMORY_PORT, info.dtype,
-                        "", info.name, -1, bank,
-                    )
-                    feat.matrix[node_id] = port_row
-                else:
-                    node = self.cdfg.add_node(
-                        IOPORT_OPTYPE, kind=NodeKind.MEMORY_PORT, dtype=info.dtype,
-                        array=info.name, replica=bank,
-                    )
-                    node_id = node.node_id
-                    node.features.update(
-                        invocations=1.0,
-                        cycles=float(MEMORY_PORT.cycles),
-                        delay=MEMORY_PORT.delay_ns,
-                        lut=float(MEMORY_PORT.lut),
-                        dsp=float(MEMORY_PORT.dsp),
-                        ff=float(MEMORY_PORT.ff),
-                    )
+                node_id = self.cdfg.append_node(
+                    IOPORT_OPTYPE, NodeKind.MEMORY_PORT, info.dtype,
+                    "", info.name, -1, bank,
+                )
+                feat.matrix[node_id] = port_row
                 node_ids.append(node_id)
             self._port_nodes[info.name] = node_ids
 
@@ -527,30 +506,15 @@ class GraphBuilder:
         )
         invocations = float(self._invocations(state))
         char = self._characterize(instr)
-        feat = self.cdfg.feat
-        if feat is not None:
-            node_id = self.cdfg.append_node(
-                optype, NodeKind.OPERATION, instr.dtype, loop_label,
-                instr.array, instr.instr_id, replica,
-            )
-            feat.matrix[node_id] = (
-                invocations, 0.0, 0.0, float(char.cycles), char.delay_ns,
-                float(char.lut), float(char.dsp), float(char.ff),
-                float(max(1, char.cycles)) * invocations,
-            )
-        else:
-            node = self.cdfg.add_node(
-                optype, kind=NodeKind.OPERATION, dtype=instr.dtype,
-                loop_label=loop_label, array=instr.array,
-                instr_id=instr.instr_id, replica=replica,
-            )
-            node_id = node.node_id
-            node.features["invocations"] = invocations
-            node.features.update(
-                cycles=float(char.cycles), delay=char.delay_ns, lut=float(char.lut),
-                dsp=float(char.dsp), ff=float(char.ff),
-                work=float(max(1, char.cycles)) * invocations,
-            )
+        node_id = self.cdfg.append_node(
+            optype, NodeKind.OPERATION, instr.dtype, loop_label,
+            instr.array, instr.instr_id, replica,
+        )
+        self.cdfg.feat.matrix[node_id] = (
+            invocations, 0.0, 0.0, float(char.cycles), char.delay_ns,
+            float(char.lut), float(char.dsp), float(char.ff),
+            float(max(1, char.cycles)) * invocations,
+        )
         if self._recorders:
             self._record_replica_node(state, node_id)
         # data-flow edges from producing nodes
@@ -592,30 +556,15 @@ class GraphBuilder:
             for instr in loop.header_instrs + loop.latch_instrs:
                 invocations = float(self._invocations(state) * residual)
                 char = self._characterize(instr)
-                feat = self.cdfg.feat
-                if feat is not None:
-                    node_id = self.cdfg.append_node(
-                        instr.opcode.value, NodeKind.OPERATION, instr.dtype,
-                        loop.label, "", instr.instr_id, 0,
-                    )
-                    feat.matrix[node_id] = (
-                        invocations, 0.0, 0.0, float(char.cycles), char.delay_ns,
-                        float(char.lut), float(char.dsp), float(char.ff),
-                        float(max(1, char.cycles)) * invocations,
-                    )
-                else:
-                    node = self.cdfg.add_node(
-                        instr.opcode.value, kind=NodeKind.OPERATION,
-                        dtype=instr.dtype, loop_label=loop.label,
-                        instr_id=instr.instr_id,
-                    )
-                    node_id = node.node_id
-                    node.features["invocations"] = invocations
-                    node.features.update(
-                        cycles=float(char.cycles), delay=char.delay_ns,
-                        lut=float(char.lut), dsp=float(char.dsp), ff=float(char.ff),
-                        work=float(max(1, char.cycles)) * invocations,
-                    )
+                node_id = self.cdfg.append_node(
+                    instr.opcode.value, NodeKind.OPERATION, instr.dtype,
+                    loop.label, "", instr.instr_id, 0,
+                )
+                self.cdfg.feat.matrix[node_id] = (
+                    invocations, 0.0, 0.0, float(char.cycles), char.delay_ns,
+                    float(char.lut), float(char.dsp), float(char.ff),
+                    float(max(1, char.cycles)) * invocations,
+                )
                 loop_scope.bind(instr.instr_id, node_id)
                 header_nodes.append(node_id)
             # wire header control/data flow: phi -> icmp -> br, phi -> incr
@@ -687,9 +636,6 @@ class GraphBuilder:
             )
 
         span_stop = cdfg.num_nodes
-        # the legacy dict path clones node objects, so it needs the span's
-        # object view; the columnar path never touches node objects at all
-        span_nodes = cdfg.nodes[node_start:] if cdfg.feat is None else ()
         # the replica's exit predecessor: remapped per copy when it lies in
         # the span, carried unchanged otherwise (both match naive emission)
         exit_rel = None
@@ -763,7 +709,6 @@ class GraphBuilder:
             dst_shift = (dst >= node_start).astype(np.int64)
         max_checkpoint = rec.max_checkpoint
         max_nodes = self.max_nodes
-        new_node = CDFGNode.__new__
 
         for replica in range(1, factor):
             if self._budget_check():
@@ -806,23 +751,8 @@ class GraphBuilder:
                             (base + node_rel - outer.node_start,
                              instr, shifted, is_load)
                         )
+            # columns only: the copies create no node objects at all
             cdfg.extend_replica_span(node_start, span_stop)
-            if cdfg.feat is None:
-                # legacy dict path only: clone the node objects too (the
-                # feature dict is shared with the source node — replicas
-                # differ only in their in/out degrees, which _finalize
-                # writes copy-on-write; clones follow their source in node
-                # order).  The columnar path creates no objects at all.
-                append = cdfg._materialized.append
-                for source in span_nodes:
-                    fields = dict(source.__dict__)
-                    fields["node_id"] += delta
-                    clone = new_node(CDFGNode)
-                    clone.__dict__ = fields
-                    append(clone)
-                materialized = cdfg._materialized
-                for rel in rec.replica_nodes:
-                    materialized[base + rel].replica = replica
             replicas = cdfg.node_replicas
             for rel in rec.replica_nodes:
                 replicas[base + rel] = replica
@@ -849,21 +779,12 @@ class GraphBuilder:
         pipelined = self.condense_loops.get(loop.label, False)
         optype = SUPER_PIPELINED_OPTYPE if pipelined else SUPER_NONPIPELINED_OPTYPE
         replica = state.loops[-1].replica if state.loops else 0
-        feat = self.cdfg.feat
-        if feat is not None:
-            node_id = self.cdfg.append_node(
-                optype, NodeKind.SUPER_NODE, "i32", loop.label, "", -1, replica,
-            )
-            feat.matrix[node_id, _COL_INVOCATIONS] = float(
-                self._invocations(state)
-            )
-        else:
-            node = self.cdfg.add_node(
-                optype, kind=NodeKind.SUPER_NODE,
-                loop_label=loop.label, replica=replica,
-            )
-            node_id = node.node_id
-            node.features["invocations"] = float(self._invocations(state))
+        node_id = self.cdfg.append_node(
+            optype, NodeKind.SUPER_NODE, "i32", loop.label, "", -1, replica,
+        )
+        self.cdfg.feat.matrix[node_id, _COL_INVOCATIONS] = float(
+            self._invocations(state)
+        )
         if self._recorders:
             self._record_replica_node(state, node_id)
         # data edges from outer values consumed inside the condensed loop
@@ -928,33 +849,13 @@ class GraphBuilder:
     # ------------------------------------------------------------------ #
     def _finalize(self) -> None:
         in_degree, out_degree = self.cdfg.degree_arrays()
+        # every node owns its feature row, so the degree columns are written
+        # in two vectorized assignments.  Write the backing matrix, not the
+        # (read-only) view.
         feat = self.cdfg.feat
-        if feat is not None:
-            # columnar path: every node owns its feature row, so the degree
-            # columns are written in two vectorized assignments — no
-            # per-node loop, no copy-on-write unsharing.  Write the backing
-            # matrix, not the (read-only) view.
-            count = feat.count
-            feat.matrix[:count, _COL_IN_DEGREE] = in_degree
-            feat.matrix[:count, _COL_OUT_DEGREE] = out_degree
-        else:
-            for node, fan_in, fan_out in zip(
-                self.cdfg.nodes, in_degree.tolist(), out_degree.tolist()
-            ):
-                # replay clones share their source node's feature dict; the
-                # source (earlier in node order) writes its degrees into the
-                # shared dict, and a clone unshares only when its own degrees
-                # differ (boundary nodes of a replica chain)
-                features = node.features
-                if (
-                    features.get("in_degree") == fan_in
-                    and features.get("out_degree") == fan_out
-                ):
-                    continue
-                if "in_degree" in features:
-                    node.features = features = dict(features)
-                features["in_degree"] = float(fan_in)
-                features["out_degree"] = float(fan_out)
+        count = feat.count
+        feat.matrix[:count, _COL_IN_DEGREE] = in_degree
+        feat.matrix[:count, _COL_OUT_DEGREE] = out_degree
         self.cdfg.metadata["kernel"] = self.function.name
         self.cdfg.metadata["config"] = self.config.describe()
 

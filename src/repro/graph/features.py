@@ -135,30 +135,19 @@ def annotate_super_node(
 
     The super node keeps the full Table II feature set; latency maps onto the
     ``cycles`` feature and the predicted resources onto ``lut``/``dsp``/``ff``.
-    On the columnar path the annotation writes straight into the graph's
-    feature block without touching (or materializing) any node object.
+    The annotation writes straight into the graph's feature block without
+    touching (or materializing) any node object; a never-written (0.0)
+    ``invocations`` count scales ``work`` as 1.
     """
-    feat = graph.feat
-    if feat is not None:
-        row = feat.matrix[node_id]
-        row[_COLUMN["cycles"]] = float(latency)
-        row[_COLUMN["delay"]] = float(iteration_latency)
-        row[_COLUMN["lut"]] = float(lut)
-        row[_COLUMN["dsp"]] = float(dsp)
-        row[_COLUMN["ff"]] = float(ff)
-        invocations = float(row[_COLUMN["invocations"]])
-        row[_COLUMN["work"]] = float(latency) * (
-            invocations if invocations != 0.0 else 1.0
-        )
-        return
-    node = graph.nodes[node_id]
-    node.features["cycles"] = float(latency)
-    node.features["delay"] = float(iteration_latency)
-    node.features["lut"] = float(lut)
-    node.features["dsp"] = float(dsp)
-    node.features["ff"] = float(ff)
-    node.features["work"] = float(latency) * float(
-        node.features.get("invocations", 1.0)
+    row = graph.feat.matrix[node_id]
+    row[_COLUMN["cycles"]] = float(latency)
+    row[_COLUMN["delay"]] = float(iteration_latency)
+    row[_COLUMN["lut"]] = float(lut)
+    row[_COLUMN["dsp"]] = float(dsp)
+    row[_COLUMN["ff"]] = float(ff)
+    invocations = float(row[_COLUMN["invocations"]])
+    row[_COLUMN["work"]] = float(latency) * (
+        invocations if invocations != 0.0 else 1.0
     )
 
 
@@ -168,11 +157,11 @@ def scale_feature_matrix(graph: CDFG, log_scale: bool = True):
     Invocation counts, cycles and resource figures span several orders of
     magnitude; ``log1p`` compression keeps the GNN inputs well-conditioned.
 
-    On the columnar path this is a fused two-pass op over the graph's
-    feature block: one clamped copy, one in-place ``log1p`` — no per-node
-    walk and no intermediate full-size temporaries.  With
-    ``log_scale=False`` the columnar matrix is returned as a **zero-copy
-    view** (see :meth:`repro.graph.cdfg.CDFG.feature_matrix`).
+    This is a fused two-pass op over the graph's feature block: one clamped
+    copy, one in-place ``log1p`` — no per-node walk and no intermediate
+    full-size temporaries.  With ``log_scale=False`` the feature block is
+    returned as a **zero-copy view** (see
+    :meth:`repro.graph.cdfg.CDFG.feature_matrix`).
     """
     import numpy as np
 

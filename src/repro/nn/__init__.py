@@ -8,8 +8,6 @@ pooling, losses and optimizers.
 from repro.nn.autograd import (
     Tensor,
     concat,
-    reference_encoding,
-    reference_encoding_active,
     segment_max,
     segment_mean,
     segment_softmax,
@@ -25,7 +23,6 @@ from repro.nn.data import (
     TargetScaler,
     iterate_minibatches,
     make_batch,
-    make_batch_reference,
     train_validation_test_split,
 )
 from repro.nn.layers import MLP, Dropout, Linear, Module, Parameter, glorot
@@ -51,11 +48,10 @@ from repro.nn.pooling import (
 
 __all__ = [
     "Tensor", "concat", "segment_max", "segment_mean", "segment_softmax",
-    "segment_sum", "stack_rows", "reference_encoding",
-    "reference_encoding_active",
+    "segment_sum", "stack_rows",
     "Batch", "BatchCache", "FeatureScaler", "GraphSample", "OptypeEncoder",
     "TargetScaler", "iterate_minibatches", "make_batch",
-    "make_batch_reference", "train_validation_test_split",
+    "train_validation_test_split",
     "MLP", "Dropout", "Linear", "Module", "Parameter", "glorot",
     "huber_loss", "mae_loss", "mape", "mse_loss", "rmse",
     "CONV_REGISTRY", "GATConv", "GCNConv", "MessagePassingLayer", "PNAConv",

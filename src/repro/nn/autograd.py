@@ -29,12 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.flags import (
-    active_precision,
-    precision,
-    reference_encoding,
-    reference_encoding_active,
-)
+from repro.flags import active_precision, precision
 
 try:  # optional: the scatter ops fall back to pure numpy without scipy
     from scipy import sparse as _scipy_sparse
@@ -121,10 +116,6 @@ class _ScatterIndexCache:
         return value
 
     def _memo(self, ids: Array, key: tuple, compute):
-        if reference_encoding_active():
-            # the reference pipeline recomputes everything — it must not
-            # profit from entries a vectorized run left behind
-            return compute()
         entry = self._entries.get(key)
         if entry is not None and entry[0]() is ids:
             self.hits += 1
@@ -333,7 +324,7 @@ def _scatter_add(ids: Array, values: Array, num_segments: int) -> Array:
     num_cols = int(np.prod(values.shape[1:]))
     if num_cols == 0 or ids.size == 0:
         return np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    if not reference_encoding_active() and values.ndim == 2:
+    if values.ndim == 2:
         matrix = SCATTER_INDEX_CACHE.scatter_matrix(ids, num_segments, values.dtype)
         if matrix is not None:
             return matrix @ values
@@ -446,11 +437,6 @@ class Tensor:
     # autograd machinery
     # ------------------------------------------------------------------ #
     def _accumulate(self, grad: Array) -> None:
-        if reference_encoding_active():
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad = self.grad + grad
-            return
         # first contribution: copy instead of zero-fill + add (one pass, one
         # temporary fewer); later contributions accumulate in place into the
         # owned buffer
@@ -618,15 +604,6 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
     def relu(self) -> "Tensor":
-        if reference_encoding_active():
-            mask = (self.data > 0).astype(self.data.dtype)
-            out_data = self.data * mask
-
-            def backward(grad: Array) -> None:
-                if self._needs_graph:
-                    self._accumulate(grad * mask)
-
-            return Tensor(out_data, _parents=(self,), _backward=backward)
         # single clamp pass; the mask is only materialized on backward, so
         # inference pays one allocation instead of three
         out_data = np.maximum(self.data, 0.0)
@@ -779,10 +756,10 @@ def gather_scatter_sum(
     are ordered exactly as the unfused accumulation visits them).  The
     backward pass is the transposed operator (built lazily, so
     inference-only sweeps never pay for it).  Returns ``None`` when the
-    fused path is unavailable (reference mode, no scipy, or non-2D
-    features); callers fall back to the composed ops.
+    fused path is unavailable (no scipy, or non-2D features); callers fall
+    back to the composed ops.
     """
-    if reference_encoding_active() or _scipy_sparse is None or x.data.ndim != 2:
+    if _scipy_sparse is None or x.data.ndim != 2:
         return None
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -919,12 +896,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
 
     Identical bits to ``x.matmul(weight) + bias`` — the bias is added in
     place into the freshly-allocated matmul output instead of allocating a
-    second full-size tensor — with the same gradient expressions.  Reference
-    mode composes the original two ops.
+    second full-size tensor — with the same gradient expressions.
     """
-    if reference_encoding_active():
-        out = x.matmul(weight)
-        return out + bias if bias is not None else out
     out_data = _stable_matmul(x.data, weight.data)
     if bias is not None:
         np.add(out_data, bias.data, out=out_data)
@@ -944,16 +917,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
 def segment_mean(values: Tensor, segment_ids: Array, num_segments: int) -> Tensor:
     """Average rows of ``values`` per segment (empty segments give zero)."""
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if reference_encoding_active():
-        counts = np.bincount(segment_ids, minlength=num_segments).astype(
-            values.data.dtype
-        )
-        counts = np.maximum(counts, 1.0)
-    else:
-        counts = SCATTER_INDEX_CACHE.segment_counts(
-            segment_ids, num_segments, values.data.dtype
-        )
-    counts = counts.reshape((num_segments,) + (1,) * (values.ndim - 1))
+    counts = SCATTER_INDEX_CACHE.segment_counts(
+        segment_ids, num_segments, values.data.dtype
+    ).reshape((num_segments,) + (1,) * (values.ndim - 1))
     return segment_sum(values, segment_ids, num_segments) * Tensor(1.0 / counts)
 
 
@@ -966,7 +932,7 @@ def segment_max(values: Tensor, segment_ids: Array, num_segments: int) -> Tensor
     )
     segments = (
         SCATTER_INDEX_CACHE.sorted_segments(segment_ids)
-        if not reference_encoding_active() and segment_ids.size and values.data.ndim >= 2
+        if segment_ids.size and values.data.ndim >= 2
         else None
     )
     if segments is not None:
@@ -976,14 +942,10 @@ def segment_max(values: Tensor, segment_ids: Array, num_segments: int) -> Tensor
         np.maximum.at(out_data, segment_ids, values.data)
     empty = np.isneginf(out_data)
     out_data = np.where(empty, 0.0, out_data)
-    # rows achieving the maximum (ties share the gradient); outside the
-    # reference pipeline the mask is derived lazily on the first backward
-    # call, so inference-only passes skip it entirely
+    # rows achieving the maximum (ties share the gradient); the mask is
+    # derived lazily on the first backward call, so inference-only passes
+    # skip it entirely
     state: dict = {}
-    if reference_encoding_active():
-        state["is_max"] = (
-            np.isclose(values.data, out_data[segment_ids]) & ~empty[segment_ids]
-        )
 
     def backward(grad: Array) -> None:
         if values._needs_graph:
@@ -1024,7 +986,6 @@ def stack_rows(tensors: list[Tensor]) -> Tensor:
 __all__ = [
     "Tensor", "concat", "segment_sum", "segment_mean", "segment_max",
     "segment_softmax", "stack_rows", "gather_scatter_sum", "linear",
-    "linear_sum", "relu_add", "embedding_linear", "reference_encoding",
-    "reference_encoding_active", "SCATTER_INDEX_CACHE",
+    "linear_sum", "relu_add", "embedding_linear", "SCATTER_INDEX_CACHE",
     "precision", "active_precision", "active_dtype", "PRECISION_DTYPES",
 ]

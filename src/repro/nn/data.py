@@ -12,11 +12,9 @@ buffer for the numeric columns, fused in-place feature scaling,
 ``np.repeat``-based batch/edge offsets — and **no one-hot block at all**:
 the union carries per-node optype codes that the model's first layer
 resolves as an embedding gather from its own weights (see
-:func:`repro.nn.autograd.embedding_linear`).  The per-sample implementation it
-replaced is retained as :func:`make_batch_reference` — differential tests and
-``benchmarks/test_perf_cold_path.py`` assert equivalence and speedup against
-it (see :func:`repro.nn.autograd.reference_encoding`).  :class:`BatchCache`
-adds epoch-level reuse on top: an already-assembled disjoint union is
+:func:`repro.nn.autograd.embedding_linear`).  The per-sample encoder it
+replaced lives on as a test oracle under ``tests/reference/``.
+:class:`BatchCache` adds epoch-level reuse on top: an already-assembled disjoint union is
 replayed as long as the exact same samples are grouped the same way.
 """
 
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.flags import active_precision, reference_encoding_active
+from repro.flags import active_precision
 
 
 # --------------------------------------------------------------------------- #
@@ -71,15 +69,12 @@ class Batch:
     that gives the readout MLPs direct access to aggregate quantities such as
     the summed per-operation LUT/FF/DSP estimates.
 
-    Two node-feature layouts exist.  The reference layout stores the dense
-    ``[one-hot optype block | scaled numeric block]`` matrix in ``x`` with
-    ``optype_codes`` unset.  The vectorized encoder never materializes the
-    one-hot block: ``x`` holds only the scaled numeric columns while
-    ``optype_codes`` carries one vocabulary index per node and ``onehot_dim``
-    the width of the elided block — the first model layer turns the codes
-    into an **embedding gather** from its own weight rows (see
-    :func:`repro.nn.autograd.embedding_linear`), which is exactly
-    ``one-hot @ W`` without ever building the one-hot matrix.
+    The one-hot optype block is never materialized: ``x`` holds only the
+    scaled numeric columns while ``optype_codes`` carries one vocabulary
+    index per node and ``onehot_dim`` the width of the elided block — the
+    first model layer turns the codes into an **embedding gather** from its
+    own weight rows (see :func:`repro.nn.autograd.embedding_linear`), which
+    is exactly ``one-hot @ W`` without ever building the one-hot matrix.
     """
 
     x: np.ndarray
@@ -88,35 +83,15 @@ class Batch:
     loop_features: np.ndarray
     targets: dict[str, np.ndarray]
     num_graphs: int
-    feature_totals: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    #: vocabulary index per node (``None`` on the dense reference layout)
-    optype_codes: np.ndarray | None = None
-    #: width of the elided one-hot block (0 on the dense reference layout)
-    onehot_dim: int = 0
+    feature_totals: np.ndarray
+    #: vocabulary index per node
+    optype_codes: np.ndarray
+    #: width of the elided one-hot block
+    onehot_dim: int
 
     @property
     def num_nodes(self) -> int:
         return self.x.shape[0]
-
-
-def batch_dense_x(batch: Batch) -> np.ndarray:
-    """Materialize a batch's dense ``[one-hot | numeric]`` node matrix.
-
-    The identity the embedding-gather layout elides: for a codes-layout
-    batch this rebuilds exactly the matrix the reference encoder would have
-    produced (used by differential tests and debugging; the model hot path
-    never calls it).  Dense-layout batches return ``x`` unchanged.
-    """
-    if batch.optype_codes is None:
-        return batch.x
-    num_nodes = batch.x.shape[0]
-    dense = np.zeros(
-        (num_nodes, batch.onehot_dim + batch.x.shape[1]), dtype=batch.x.dtype
-    )
-    if num_nodes:
-        dense[np.arange(num_nodes), batch.optype_codes] = 1.0
-        dense[:, batch.onehot_dim:] = batch.x
-    return dense
 
 
 class OptypeEncoder:
@@ -173,21 +148,18 @@ class OptypeEncoder:
         never alias a dead list; eviction is LRU and bounded.
         """
         memo = self._codes_memo
-        reference = reference_encoding_active()
-        if not reference:
-            entry = memo.get(id(optypes))
-            if entry is not None and entry[0] is optypes:
-                memo.move_to_end(id(optypes))
-                return entry[1]
+        entry = memo.get(id(optypes))
+        if entry is not None and entry[0] is optypes:
+            memo.move_to_end(id(optypes))
+            return entry[1]
         unknown = self._index[self.UNKNOWN]
         columns = np.fromiter(
             (self._index.get(optype, unknown) for optype in optypes),
             dtype=np.int64, count=len(optypes),
         )
-        if not reference:
-            while len(memo) >= self.MAX_MEMO_ENTRIES:
-                memo.popitem(last=False)
-            memo[id(optypes)] = (optypes, columns)
+        while len(memo) >= self.MAX_MEMO_ENTRIES:
+            memo.popitem(last=False)
+        memo[id(optypes)] = (optypes, columns)
         return columns
 
     def encode_sample_indices(self, sample: "GraphSample") -> np.ndarray:
@@ -200,7 +172,7 @@ class OptypeEncoder:
         without codes fall back to :meth:`encode_indices`.
         """
         codes = sample.graph_codes
-        if codes is None or reference_encoding_active():
+        if codes is None:
             return self.encode_indices(sample.optypes)
         table = sample.graph_table
         memo = self._table_memo
@@ -290,77 +262,6 @@ def _sample_totals(sample: GraphSample) -> np.ndarray:
     return np.log1p(np.maximum(sample.features, 0.0).sum(axis=0))
 
 
-def make_batch_reference(
-    samples: list[GraphSample],
-    encoder: OptypeEncoder,
-    feature_scaler: FeatureScaler | None = None,
-    target_names: tuple[str, ...] = (),
-    encoded_cache: dict | None = None,
-) -> Batch:
-    """The retained per-sample reference implementation of :func:`make_batch`.
-
-    Encodes one sample at a time (Python-level one-hot assembly, per-sample
-    scaling temporaries, list-append concatenation) exactly as the encoder
-    worked before the vectorized cold path landed.  Differential tests and
-    the cold-path benchmark run the pipeline through this function (via
-    :func:`repro.nn.autograd.reference_encoding`) to assert the vectorized
-    encoder's equivalence and speedup.
-    """
-    xs: list[np.ndarray] = []
-    edges: list[np.ndarray] = []
-    batch_vector: list[np.ndarray] = []
-    loop_features: list[np.ndarray] = []
-    totals: list[np.ndarray] = []
-    offset = 0
-    for graph_id, sample in enumerate(samples):
-        entry = None if encoded_cache is None else encoded_cache.get(id(sample))
-        # reference entries are (sample, dense rows, totals) triples; the
-        # vectorized encoder's 4-tuples (numeric-only rows + codes) are not
-        # valid here and are simply re-encoded
-        cached = (
-            entry[1]
-            if entry is not None and len(entry) == 3 and entry[0] is sample
-            else None
-        )
-        sample_totals = _sample_totals(sample)
-        if cached is None:
-            numeric = sample.features
-            if feature_scaler is not None:
-                numeric = feature_scaler.transform(numeric)
-            encoded = encoder.encode(sample.optypes)
-            cached = np.concatenate([encoded, numeric], axis=1)
-            if encoded_cache is not None:
-                encoded_cache[id(sample)] = (sample, cached, sample_totals)
-        xs.append(cached)
-        totals.append(sample_totals)
-        if sample.num_edges:
-            edges.append(sample.edge_index + offset)
-        batch_vector.append(np.full(sample.num_nodes, graph_id, dtype=np.int64))
-        loop_features.append(np.asarray(sample.loop_features, dtype=np.float64))
-        offset += sample.num_nodes
-    x = np.concatenate(xs, axis=0) if xs else np.zeros((0, encoder.dim))
-    edge_index = (
-        np.concatenate(edges, axis=1) if edges else np.zeros((2, 0), dtype=np.int64)
-    )
-    targets = {
-        name: np.array([sample.targets.get(name, 0.0) for sample in samples])
-        for name in target_names
-    }
-    width = max((t.shape[0] for t in totals), default=0)
-    totals = [
-        t if t.shape[0] == width else np.zeros(width) for t in totals
-    ]
-    return Batch(
-        x=x,
-        edge_index=edge_index,
-        batch=np.concatenate(batch_vector) if batch_vector else np.zeros(0, dtype=np.int64),
-        loop_features=np.stack(loop_features) if loop_features else np.zeros((0, 5)),
-        targets=targets,
-        num_graphs=len(samples),
-        feature_totals=np.stack(totals) if totals else np.zeros((0, 0)),
-    )
-
-
 def make_batch(
     samples: list[GraphSample],
     encoder: OptypeEncoder,
@@ -378,19 +279,13 @@ def make_batch(
     the model's first layer gathers the corresponding rows of its own weight
     matrix — value-for-value what multiplying the elided one-hot block by
     those weights would produce (see
-    :func:`repro.nn.autograd.embedding_linear`).  Numerically equivalent to
-    :func:`make_batch_reference` (bit-exact for the numeric block; the
-    guards assert <= 1e-9 end to end).
+    :func:`repro.nn.autograd.embedding_linear`).
 
     ``encoded_cache`` (keyed by ``id(sample)``) lets callers reuse encoded
     node-feature rows and codes across epochs instead of re-encoding every
     batch.  The cache entries hold a reference to the sample itself so
     object ids can never be recycled while an entry is alive.
     """
-    if reference_encoding_active():
-        return make_batch_reference(
-            samples, encoder, feature_scaler, target_names, encoded_cache
-        )
     num_graphs = len(samples)
     counts = np.fromiter(
         (sample.num_nodes for sample in samples), dtype=np.int64, count=num_graphs
@@ -532,9 +427,8 @@ class BatchCache:
     of member ``id``\\ s, with every member pinned by a strong reference so a
     recycled ``id`` can never alias a dead sample).  Samples are immutable
     once created, so the same group in the same order always produces the
-    same union — any *regrouping* (e.g. a reshuffled epoch under
-    ``regroup_each_epoch``) changes the key and misses cleanly instead of
-    returning a stale union.  Bounded both by entry count and by total cached
+    same union — any *regrouping* or reordering changes the key and misses
+    cleanly instead of returning a stale union.  Bounded both by entry count and by total cached
     union nodes; eviction is LRU.
     """
 
@@ -680,7 +574,7 @@ def train_validation_test_split(
 
 __all__ = [
     "GraphSample", "Batch", "OptypeEncoder", "FeatureScaler", "TargetScaler",
-    "make_batch", "make_batch_reference", "batch_dense_x", "BatchCache",
+    "make_batch", "BatchCache",
     "chunk_by_node_budget", "iterate_minibatches",
     "train_validation_test_split",
 ]

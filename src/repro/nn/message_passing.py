@@ -14,7 +14,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.flags import reference_encoding_active
 from repro.nn.autograd import (
     SCATTER_INDEX_CACHE,
     Tensor,
@@ -126,26 +125,20 @@ def _cached_rows(
     Returning the *same* view objects on every call (instead of slicing
     fresh ones) lets downstream per-array memos — most importantly the
     scatter-index cache in :mod:`repro.nn.autograd` — key on the row arrays
-    across layers, forward passes and replayed epochs.  Outside the
-    reference pipeline the loop-augmented edges are re-sorted by destination
-    (stable, once per edge index), so scatters over them keep the sorted
-    fast path that :func:`repro.nn.data.make_batch` establishes for the raw
-    union edges.
+    across layers, forward passes and replayed epochs.  The loop-augmented
+    edges are re-sorted by destination (stable, once per edge index), so
+    scatters over them keep the sorted fast path that
+    :func:`repro.nn.data.make_batch` establishes for the raw union edges.
     """
     payload = EDGE_CACHE.payload(edge_index, num_nodes)
-    if not self_loops:
-        key = "rows"
-    elif reference_encoding_active():
-        key = "loop_rows"
-    else:
-        key = "loop_rows_sorted"
+    key = "loop_rows" if self_loops else "rows"
     rows = payload.get(key)
     if rows is None:
         edges = (
             _cached_self_loops(edge_index, num_nodes) if self_loops
             else edge_index
         )
-        if key == "loop_rows_sorted":
+        if self_loops:
             destinations = edges[1]
             if destinations.size > 1 and (np.diff(destinations) < 0).any():
                 edges = edges[:, np.argsort(destinations, kind="stable")]
@@ -195,16 +188,14 @@ class GCNConv(MessagePassingLayer):
         transformed = self.linear(x)
         dtype = transformed.data.dtype
         payload = EDGE_CACHE.payload(edge_index, num_nodes)
-        # keyed by the row pair's identity: the reference and vectorized
-        # pipelines order the loop-augmented edges differently, so each row
-        # ordering owns its own (aligned) per-edge norm column — and by
-        # dtype, so float32 inference never mixes in a float64 column
-        norm = payload.get(("gcn_norm", id(dst), dtype.char))
+        # keyed by dtype, so float32 inference never mixes in a float64
+        # column
+        norm = payload.get(("gcn_norm", dtype.char))
         if norm is None:
             degree = _cached_degree(edge_index, dst, num_nodes, dtype)
             norm = (1.0 / np.sqrt(degree[src] * degree[dst]))[:, None]
             norm.setflags(write=False)
-            payload[("gcn_norm", id(dst), dtype.char)] = norm
+            payload[("gcn_norm", dtype.char)] = norm
         fused = gather_scatter_sum(
             transformed, src, dst, num_nodes, weights=norm
         )
@@ -231,11 +222,8 @@ class SAGEConv(MessagePassingLayer):
         # mean aggregation as one weighted CSR product: the cached per-edge
         # 1/degree weights make the fused operator compute the neighbor
         # mean directly (equal within float rounding to scaling the sum)
-        weights = (
-            None if reference_encoding_active()
-            else SCATTER_INDEX_CACHE.mean_edge_weights(
-                dst, num_nodes, x.data.dtype
-            )
+        weights = SCATTER_INDEX_CACHE.mean_edge_weights(
+            dst, num_nodes, x.data.dtype
         )
         neighbor_mean = gather_scatter_sum(x, src, dst, num_nodes, weights=weights)
         if neighbor_mean is not None:

@@ -36,6 +36,7 @@ from repro.frontend.pragmas import (
     LoopDirective,
     PartitionType,
     PragmaConfig,
+    config_from_specs,
 )
 
 #: structured error codes a response's ``error`` field may carry
@@ -106,14 +107,21 @@ def config_to_payload(config: PragmaConfig) -> dict:
     return {"loops": loops, "arrays": arrays}
 
 
+def _integral(value) -> int:
+    """``value`` as an int; a non-integral number is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _loop_from_spec(spec: dict) -> LoopDirective:
     if not isinstance(spec, dict):
         raise ProtocolError(f"loop directive must be an object, got {spec!r}")
     try:
         return LoopDirective(
             pipeline=bool(spec.get("pipeline", False)),
-            ii=int(spec.get("ii", 0)),
-            unroll_factor=int(spec.get("unroll", spec.get("unroll_factor", 1))),
+            ii=_integral(spec.get("ii", 0)),
+            unroll_factor=_integral(spec.get("unroll", spec.get("unroll_factor", 1))),
             flatten=bool(spec.get("flatten", False)),
         )
     except (TypeError, ValueError) as exc:
@@ -126,8 +134,8 @@ def _array_from_spec(spec: dict) -> ArrayDirective:
     try:
         return ArrayDirective(
             partition_type=PartitionType(str(spec.get("type", "cyclic")).lower()),
-            factor=int(spec.get("factor", 1)),
-            dim=int(spec.get("dim", 1)),
+            factor=_integral(spec.get("factor", 1)),
+            dim=_integral(spec.get("dim", 1)),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid array directive {spec!r}: {exc}") from exc
@@ -140,7 +148,7 @@ def config_from_payload(payload) -> PragmaConfig:
     the CLI's spec-string form (``loops``/``arrays`` as lists of strings
     like ``"L0=pipeline+unroll:2"`` / ``"A=cyclic:4:2"``), ``None`` / ``{}``
     for the baseline configuration, and raises :class:`ProtocolError` for
-    everything else.
+    everything else — including numbers that are not integers.
     """
     if payload is None:
         return PragmaConfig()
@@ -151,14 +159,12 @@ def config_from_payload(payload) -> PragmaConfig:
     loops_payload = payload.get("loops")
     arrays_payload = payload.get("arrays")
     if isinstance(loops_payload, list) or isinstance(arrays_payload, list):
-        # CLI spec-string form; reuse the CLI parser so the two notations
-        # can never diverge (lazy import: repro.cli imports repro.serve).
-        # A missing/empty half ({} or None alongside a spec list) means
-        # "no directives of that kind", matching the canonical form.
+        # CLI spec-string form, parsed by the parser behind the CLI's
+        # --loop/--array options so the two notations can never diverge.
+        # A missing/empty half ({} or None alongside a spec list) means "no
+        # directives of that kind", matching the canonical form.
         loop_specs = loops_payload if loops_payload else []
         array_specs = arrays_payload if arrays_payload else []
-        from repro.cli import parse_config
-
         if not isinstance(loop_specs, list) or not all(
             isinstance(item, str) for item in loop_specs
         ):
@@ -168,8 +174,8 @@ def config_from_payload(payload) -> PragmaConfig:
         ):
             raise ProtocolError(f"invalid array spec list {arrays_payload!r}")
         try:
-            return parse_config(loop_specs, array_specs)
-        except SystemExit as exc:
+            return config_from_specs(loop_specs, array_specs)
+        except ValueError as exc:
             raise ProtocolError(f"invalid directive spec: {exc}") from exc
     loops_payload = loops_payload or {}
     arrays_payload = arrays_payload or {}

@@ -146,17 +146,15 @@ def test_evaluate_uses_batched_path(gemm_setup):
 
 
 def test_template_fast_path_matches_reference_pipeline(gemm_setup):
-    """The outer-template encoding path must agree with the retained
-    reference pipeline (per-config decomposition + per-node annotation) on a
-    cold sweep, and repeat sweeps must be served from templates without new
-    decompositions."""
-    from repro.nn.autograd import reference_encoding
+    """The outer-template encoding path must agree with the standalone
+    reference predictor (uncached decomposition, per-node annotation, dense
+    encoding, plain-numpy GraphSAGE) on a cold sweep, and repeat sweeps must
+    be served from templates without new decompositions."""
+    from reference import reference_predict
 
     function, instances, configs = gemm_setup
     model = trained_model(instances, "graphsage")
-    model.clear_inference_caches()
-    with reference_encoding():
-        reference = model.predict_batch(function, configs)
+    reference = [reference_predict(model, function, config) for config in configs]
     model.clear_inference_caches()
     batched = model.predict_batch(function, configs)
     assert_predictions_close(reference, batched)

@@ -36,6 +36,18 @@ def clean_run(sharded_model_path, fir_space):
     ).explore(fir_space)
 
 
+def armed(fault: WorkerFault, work_stealing: bool) -> FaultPlan:
+    """``fault`` on worker 0 — and, on the shared queue, on worker 1 too.
+
+    A shared queue lets the unharmed worker take every chunk after worker
+    0's first, so a fault keyed to worker 0's chunk count may never fire.
+    Armed on both workers it fires every run: fir-12's 6 chunks of 2 leave
+    one worker at least 3, past every chunk index these tests name.
+    """
+    workers = (0, 1) if work_stealing else (0,)
+    return FaultPlan(workers={worker: fault for worker in workers})
+
+
 def fleet(sharded_model_path, **kwargs):
     kwargs.setdefault("num_workers", 2)
     kwargs.setdefault("chunk_size", 2)
@@ -106,7 +118,7 @@ class TestWorkerFaultRecovery:
     def test_killed_worker_bit_equal(
         self, sharded_model_path, fir_space, clean_run, work_stealing
     ):
-        plan = FaultPlan(workers={0: WorkerFault(kill_after_chunks=1)})
+        plan = armed(WorkerFault(kill_after_chunks=1), work_stealing)
         result = fleet(
             sharded_model_path, work_stealing=work_stealing, fault_plan=plan
         ).explore(fir_space)
@@ -118,7 +130,7 @@ class TestWorkerFaultRecovery:
     def test_dropped_results_bit_equal(
         self, sharded_model_path, fir_space, clean_run, work_stealing
     ):
-        plan = FaultPlan(workers={0: WorkerFault(drop_chunks=(0,))})
+        plan = armed(WorkerFault(drop_chunks=(0,)), work_stealing)
         result = fleet(
             sharded_model_path, work_stealing=work_stealing, fault_plan=plan
         ).explore(fir_space)

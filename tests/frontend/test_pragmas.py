@@ -10,6 +10,7 @@ from repro.frontend.pragmas import (
     PragmaConfig,
     PragmaKind,
     config_from_pragmas,
+    config_from_specs,
     parse_pragma,
 )
 
@@ -136,6 +137,28 @@ class TestConfigFromPragmas:
     def test_loops_without_directives_are_omitted(self):
         config = config_from_pragmas({"L0": []}, [])
         assert config.loops == ()
+
+
+class TestConfigFromSpecs:
+    def test_loop_and_array_specs(self):
+        config = config_from_specs(["L0=pipeline:2+unroll:4"], ["A=block:8:2"])
+        assert config.loop("L0").pipeline and config.loop("L0").ii == 2
+        assert config.loop("L0").unroll_factor == 4
+        array = config.array("A")
+        assert array.partition_type is PartitionType.BLOCK
+        assert (array.factor, array.dim) == (8, 2)
+
+    @pytest.mark.parametrize("loops, arrays, message", [
+        (["L0=dataflow"], [], "unknown loop directive"),
+        (["L0=unroll:x"], [], "invalid number"),
+        (["L0=pipeline:fast"], [], "invalid number"),
+        ([], ["A=foo:2"], "unknown partition type"),
+        ([], ["A=cyclic:two"], "invalid number"),
+        ([], ["A=cyclic:4:y"], "invalid number"),
+    ])
+    def test_malformed_specs_raise_value_error(self, loops, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_specs(loops, arrays)
 
 
 class TestDirectiveDescriptions:

@@ -100,8 +100,6 @@ class TestReadOnlyViews:
 
     def test_feature_matrix_view_is_read_only(self, small_graph):
         matrix = small_graph.feature_matrix()
-        if small_graph.feat is None:
-            pytest.skip("reference encoding: feature_matrix is a fresh copy")
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0

@@ -10,11 +10,12 @@ from repro.nn.data import (
     GraphSample,
     OptypeEncoder,
     TargetScaler,
-    batch_dense_x,
     iterate_minibatches,
     make_batch,
     train_validation_test_split,
 )
+
+from reference import batch_dense_x
 
 
 def make_sample(num_nodes=4, num_features=3, target=10.0, seed=0):

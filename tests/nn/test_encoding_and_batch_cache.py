@@ -1,8 +1,8 @@
 """Differential tests for the vectorized encoder and BatchCache unit tests.
 
 The vectorized union encoder (:func:`repro.nn.data.make_batch`) must produce
-**bit-identical** batches to the retained per-sample reference
-implementation (:func:`repro.nn.data.make_batch_reference`) for every
+**bit-identical** batches to the per-sample reference encoder
+(``tests/reference/encoding.py``) for every
 registered kernel's graphs and for the degenerate shapes (empty graph,
 single node, unknown optypes, zero-width features).  The epoch-level
 :class:`~repro.nn.data.BatchCache` must replay identical groupings, miss
@@ -20,16 +20,16 @@ from repro.core.models import GlobalGNN
 from repro.core.trainer import GraphRegressorTrainer, TrainingConfig
 from repro.graph.construction import build_flat_graph
 from repro.kernels import KERNEL_SOURCES, load_kernel
-from repro.nn.autograd import SCATTER_INDEX_CACHE, _scatter_add, reference_encoding
+from repro.nn.autograd import SCATTER_INDEX_CACHE, _scatter_add
 from repro.nn.data import (
     BatchCache,
     FeatureScaler,
     GraphSample,
     OptypeEncoder,
-    batch_dense_x,
     make_batch,
-    make_batch_reference,
 )
+
+from reference import batch_dense_x, make_batch_reference
 
 
 def synthetic_sample(
@@ -59,8 +59,7 @@ def assert_batches_identical(reference, vectorized):
     # columns); materializing it must reproduce the reference matrix bit
     # for bit
     assert (reference.x == batch_dense_x(vectorized)).all()
-    if vectorized.optype_codes is not None:
-        assert vectorized.x.shape[1] == reference.x.shape[1] - vectorized.onehot_dim
+    assert vectorized.x.shape[1] == reference.x.shape[1] - vectorized.onehot_dim
     # the vectorized union orders edges by destination; same multiset of
     # (src, dst) pairs, bit-identical values
     def canonical(edge_index):
@@ -161,15 +160,6 @@ class TestVectorizedEncoderDifferential:
             make_batch(samples, encoder, scaler, (), vectorized_cache),
         )
 
-    def test_reference_mode_forces_reference_path(self):
-        samples = [synthetic_sample(5, seed=0)]
-        encoder, scaler = self.fitted(samples)
-        with reference_encoding():
-            forced = make_batch(samples, encoder, scaler)
-        assert_batches_identical(
-            make_batch_reference(samples, encoder, scaler), forced
-        )
-
     def test_optype_code_memo_shared_lists(self):
         shared = ["add", "mul", "add"]
         a = GraphSample(
@@ -187,32 +177,6 @@ class TestVectorizedEncoderDifferential:
         assert (first == np.array([0, 1, 0])).all()
 
 
-class TestReferenceModeIsolation:
-    def test_gcn_norm_is_not_shared_across_edge_orderings(self):
-        """Regression test: the per-edge GCN norm column must follow the row
-        ordering of the pipeline that computed it — crossing into reference
-        mode on the same edge_index array must not serve the dst-sorted
-        norm against unsorted rows."""
-        from repro.nn.autograd import Tensor
-        from repro.nn.message_passing import EDGE_CACHE, GCNConv
-
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((12, 6)))
-        edges = np.array(
-            [[0, 3, 5, 2, 7, 1, 9, 4], [4, 1, 0, 8, 2, 6, 3, 11]],
-            dtype=np.int64,
-        )
-        conv = GCNConv(6, 8, rng=np.random.default_rng(1))
-        fast = conv(x, edges).data.copy()
-        with reference_encoding():
-            crossed = conv(x, edges).data.copy()
-        EDGE_CACHE.clear()
-        with reference_encoding():
-            clean = conv(x, edges).data.copy()
-        assert np.abs(fast - clean).max() < 1e-12
-        assert np.abs(crossed - clean).max() < 1e-12
-
-
 class TestScatterIndexCache:
     def test_flat_ids_memoized_per_array(self):
         ids = np.array([0, 2, 1, 2], dtype=np.int64)
@@ -224,14 +188,6 @@ class TestScatterIndexCache:
         second = SCATTER_INDEX_CACHE.flat_ids(ids, 3)
         assert first is second
         assert (_scatter_add(ids, values, 3) == expected).all()
-
-    def test_reference_mode_skips_memo(self):
-        ids = np.array([1, 0], dtype=np.int64)
-        with reference_encoding():
-            first = SCATTER_INDEX_CACHE.flat_ids(ids, 2)
-            second = SCATTER_INDEX_CACHE.flat_ids(ids, 2)
-        assert first is not second
-        assert (first == second).all()
 
 
 class TestBatchCache:
@@ -300,10 +256,9 @@ class TestBatchCache:
 
 
 class TestTrainerEpochCaching:
-    def trained(self, samples, *, regroup: bool, epochs: int = 4):
+    def trained(self, samples, *, epochs: int = 4):
         config = TrainingConfig(
             epochs=epochs, batch_size=4, seed=0, patience=epochs,
-            regroup_each_epoch=regroup,
         )
         trainer = GraphRegressorTrainer(None, ("lut",), config)
         trainer.fit_preprocessing(samples)
@@ -316,28 +271,11 @@ class TestTrainerEpochCaching:
 
     def test_static_groups_replay_unions(self):
         samples = [synthetic_sample(5, seed=i) for i in range(12)]
-        trainer, result = self.trained(samples, regroup=False)
+        trainer, result = self.trained(samples)
         stats = trainer._batch_cache.stats()
         # 3 minibatches + the monitoring union, replayed for epochs 2..4
         assert stats["batch_cache_hits"] >= 9
         assert len(result.epoch_seconds) == len(result.train_losses)
-
-    def test_regrouped_epochs_miss_cleanly(self):
-        """Regression test: under ``regroup_each_epoch`` every regrouped
-        minibatch must be assembled fresh — a stale union would carry the
-        wrong targets for its member samples."""
-        samples = [synthetic_sample(5, seed=i) for i in range(12)]
-        trainer, _ = self.trained(samples, regroup=True, epochs=3)
-        stats = trainer._batch_cache.stats()
-        # every regrouped epoch misses on its 3 minibatches; only the
-        # epoch-invariant monitoring union hits
-        assert stats["batch_cache_misses"] >= 9
-        # spot-check correctness of a freshly-regrouped union: targets must
-        # follow the new grouping, not any cached one
-        regrouped = [samples[7], samples[1], samples[4]]
-        batch = trainer.prepare_batch(regrouped)
-        expected = np.array([s.targets["lut"] for s in regrouped])
-        assert (batch.targets["lut"] == expected).all()
 
     def test_prepare_batch_returns_correct_union_after_regroup(self):
         samples = [synthetic_sample(4, seed=i) for i in range(4)]

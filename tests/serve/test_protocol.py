@@ -108,3 +108,22 @@ class TestConfigPayloads:
     def test_rejects_bad_spec_string(self):
         with pytest.raises(ProtocolError, match="invalid directive spec"):
             config_from_payload({"loops": ["L0=teleport"], "arrays": []})
+
+    @pytest.mark.parametrize("payload", [
+        {"loops": ["L0=unroll:x"]},
+        {"arrays": ["A=foo:2"]},
+        {"arrays": ["A=cyclic:two"]},
+        {"loops": {"L0": {"unroll": 2.5}}},
+        {"loops": {"L0": {"ii": 1.5}}},
+        {"arrays": {"A": {"factor": 4.5}}},
+    ])
+    def test_rejects_bad_numbers_and_partition_types(self, payload):
+        # anything but ProtocolError leaves the daemon's request task dead
+        # and the client unanswered; truncating 2.5 to 2 would score a
+        # different design than the one asked for
+        with pytest.raises(ProtocolError):
+            config_from_payload(payload)
+
+    def test_integral_floats_are_accepted(self):
+        config = config_from_payload({"loops": {"L0": {"unroll": 2.0}}})
+        assert config.loop("L0").unroll_factor == 2

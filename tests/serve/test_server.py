@@ -75,6 +75,31 @@ class TestBadRequests:
             # the connection survives every rejection
             assert client.ping()
 
+    def test_malformed_directive_values_get_bad_request(self, make_server):
+        """Unparseable numbers and partition types, in either configuration
+        form, are answered with ``bad-request`` — not dropped unanswered,
+        and not truncated into a different design."""
+        harness = make_server()
+        payloads = [
+            {"loops": ["L0=unroll:x"]},
+            {"loops": {"L0": {"unroll": 2.5}}},
+            {"arrays": ["A=foo:2"]},
+            {"arrays": ["A=cyclic:two"]},
+        ]
+        with socket.create_connection(harness.address, timeout=10) as sock:
+            handle = sock.makefile("rb")
+            for request_id, config in enumerate(payloads):
+                sock.sendall(encode_message({
+                    "type": "predict", "id": request_id, "kernel": "fir",
+                    "configs": [config],
+                }))
+                response = decode_message(handle.readline())
+                assert response["id"] == request_id
+                assert response["ok"] is False, config
+                assert response["error"] == "bad-request", config
+        with QoRClient(*harness.address) as client:
+            assert client.stats()["server"]["bad_requests"] == len(payloads)
+
     def test_invalid_json_line_gets_bad_request_not_disconnect(self, make_server):
         harness = make_server()
         with socket.create_connection(harness.address, timeout=30) as sock:
