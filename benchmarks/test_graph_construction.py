@@ -22,6 +22,7 @@ from repro.graph import build_flat_graph
 from repro.dse.space import sample_design_space
 from repro.kernels import load_kernel
 
+from cdfg_queries import memory_ports
 from conftest import format_table, write_result
 
 
@@ -50,13 +51,13 @@ def test_figure2_graph_construction(benchmark):
     )
     rows = [
         ["baseline", str(baseline.num_nodes), str(baseline.num_edges),
-         str(len(baseline.memory_port_nodes()))],
+         str(len(memory_ports(baseline)))],
         ["pipeline (Fig. 2a)", str(pipelined.num_nodes), str(pipelined.num_edges),
-         str(len(pipelined.memory_port_nodes()))],
+         str(len(memory_ports(pipelined)))],
         ["unroll x4 (Fig. 2b)", str(unrolled.num_nodes), str(unrolled.num_edges),
-         str(len(unrolled.memory_port_nodes()))],
+         str(len(memory_ports(unrolled)))],
         ["partition x4 (Fig. 2c)", str(partitioned.num_nodes), str(partitioned.num_edges),
-         str(len(partitioned.memory_port_nodes()))],
+         str(len(memory_ports(partitioned)))],
     ]
     sizes = [graph.num_nodes for graph in graphs]
     text = format_table(
@@ -74,4 +75,4 @@ def test_figure2_graph_construction(benchmark):
     # Fig. 2b: unrolling replicates logic nodes
     assert unrolled.num_nodes > baseline.num_nodes
     # Fig. 2c: partitioning inserts one port node per bank
-    assert len(partitioned.memory_port_nodes("A")) == 4
+    assert len(memory_ports(partitioned, "A")) == 4

@@ -2,10 +2,8 @@
 prediction with GNNs."""
 
 from repro.core.dataset import (
-    DatasetBundle,
     DesignInstance,
     application_targets,
-    build_dataset_bundle,
     build_design_instances,
     decomposition_of,
     default_configurations,
@@ -36,8 +34,8 @@ from repro.core.serialization import load_model, peek_manifest, save_model
 from repro.core.trainer import GraphRegressorTrainer, TrainingConfig, TrainingResult
 
 __all__ = [
-    "DatasetBundle", "DesignInstance", "application_targets",
-    "build_dataset_bundle", "build_design_instances", "decomposition_of",
+    "DesignInstance", "application_targets",
+    "build_design_instances", "decomposition_of",
     "default_configurations", "flat_sample", "graph_to_sample",
     "inner_unit_samples",
     "HierarchicalModelConfig", "HierarchicalQoRModel", "HierarchicalTrainingReport",

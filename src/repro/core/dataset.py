@@ -15,7 +15,7 @@ From design instances this module derives the three datasets of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,31 +46,6 @@ class DesignInstance:
     @property
     def config_key(self) -> str:
         return self.config.key()
-
-
-@dataclass
-class InnerUnitRecord:
-    """An inner-hierarchy loop occurrence inside a design instance."""
-
-    instance: DesignInstance
-    unit: InnerLoopUnit
-    sample: GraphSample
-
-
-@dataclass
-class DatasetBundle:
-    """The full training material derived from a set of design instances."""
-
-    instances: list[DesignInstance] = field(default_factory=list)
-    pipelined: list[GraphSample] = field(default_factory=list)
-    non_pipelined: list[GraphSample] = field(default_factory=list)
-
-    def summary(self) -> dict[str, int]:
-        return {
-            "designs": len(self.instances),
-            "pipelined_loops": len(self.pipelined),
-            "non_pipelined_loops": len(self.non_pipelined),
-        }
 
 
 def build_design_instances(
@@ -224,20 +199,6 @@ def decomposition_of(
     return decompose(instance.function, instance.config, library=library)
 
 
-def build_dataset_bundle(
-    kernels: dict[str, IRFunction],
-    configs_per_kernel: dict[str, list[PragmaConfig]],
-    *,
-    library: OperatorLibrary = DEFAULT_LIBRARY,
-) -> DatasetBundle:
-    """End-to-end dataset generation for a set of kernels and configurations."""
-    instances = build_design_instances(kernels, configs_per_kernel, library=library)
-    pipelined, non_pipelined = inner_unit_samples(instances, library=library)
-    return DatasetBundle(
-        instances=instances, pipelined=pipelined, non_pipelined=non_pipelined
-    )
-
-
 def default_configurations(
     function: IRFunction,
     *,
@@ -263,8 +224,8 @@ def default_configurations(
 
 
 __all__ = [
-    "DesignInstance", "InnerUnitRecord", "DatasetBundle",
+    "DesignInstance",
     "build_design_instances", "graph_to_sample", "inner_unit_samples",
     "application_targets", "flat_sample", "decomposition_of",
-    "build_dataset_bundle", "default_configurations",
+    "default_configurations",
 ]

@@ -54,11 +54,11 @@ class _OuterSampleTemplate:
     ``predict_batch`` converts the condensed outer graph of every pending
     configuration into a sample; for configurations sharing an outer pragma
     delta only the super-node QoR annotations differ.  The template captures
-    the conversion once — optype list, edge index and pristine feature matrix
-    are shared read-only between samples (the encoder memoizes per shared
-    optype list), and each configuration gets a fresh matrix copy with its
-    inner predictions written straight into the annotated rows, skipping
-    graph copy, node iteration and re-extraction entirely.
+    the conversion once — optype column, edge index and pristine feature
+    matrix are shared read-only between samples (the encoder translates the
+    shared optype table once), and each configuration gets a fresh matrix
+    copy with its inner predictions written straight into the annotated
+    rows, skipping graph copy, node iteration and re-extraction entirely.
     """
 
     optypes: list[str]
@@ -81,9 +81,9 @@ def _build_outer_template(graph: CDFG) -> _OuterSampleTemplate:
     """Capture the sample-conversion ingredients of a pristine outer graph.
 
     Reads the graph's node columns directly — kinds, loop labels and the
-    columnar feature block — so building a template never materializes node
-    objects, and ``base_features`` is handed over as the zero-copy view of
-    the cached (pristine, never annotated) outer graph's feature block.
+    columnar feature block — and ``base_features`` is handed over as the
+    zero-copy view of the cached (pristine, never annotated) outer graph's
+    feature block.
     """
     rows: dict[str, list[int]] = {}
     labels = graph.node_loop_labels
@@ -219,9 +219,10 @@ class HierarchicalQoRModel:
     def clear_inference_caches(self) -> None:
         """Drop cached graphs/samples/predictions (weights are unaffected).
 
-        Also clears the trainers' encoded-feature caches, which pin every
-        sample ever predicted — without this, long-lived services would
-        retain the encoded matrix of each distinct design forever.
+        Also clears the trainers' assembled-batch caches and their counters.
+        Inference itself keeps no per-sample encoding state: every union is
+        encoded afresh, so a scored sample is released once its caller
+        drops it.
         """
         self._graph_cache.clear()
         self._unit_sample_cache.clear()
@@ -242,8 +243,7 @@ class HierarchicalQoRModel:
         ``SCATTER_INDEX_CACHE`` (flat scatter indices, CSR operators,
         segment counts) and ``EDGE_CACHE`` (self-loops, degrees, norm
         columns), and — summed across this model's trainers — the
-        epoch-level :class:`~repro.nn.data.BatchCache` counters and the
-        number of per-sample encoded rows pinned in the encoded caches.
+        epoch-level :class:`~repro.nn.data.BatchCache` counters.
         """
         from repro.nn.autograd import SCATTER_INDEX_CACHE
         from repro.nn.message_passing import EDGE_CACHE
@@ -255,15 +255,12 @@ class HierarchicalQoRModel:
         stats.update(SCATTER_INDEX_CACHE.stats())
         stats.update(EDGE_CACHE.stats())
         batch_totals: dict[str, int] = {}
-        encoded_samples = 0
         for trainer in (self.trainer_p, self.trainer_np, self.trainer_g):
             if trainer is None:
                 continue
             for name, value in trainer._batch_cache.stats().items():
                 batch_totals[name] = batch_totals.get(name, 0) + value
-            encoded_samples += len(trainer._encoded_cache)
         stats.update(batch_totals)
-        stats["encoded_samples"] = encoded_samples
         return stats
 
     # ------------------------------------------------------------------ #
@@ -497,7 +494,7 @@ class HierarchicalQoRModel:
         fresh copy of the template's pristine feature matrix — value-for-value
         identical to annotating the graph with
         :func:`~repro.graph.features.annotate_super_node` and re-extracting,
-        without touching a single :class:`~repro.graph.cdfg.CDFGNode`.
+        without touching the graph.
         """
         matrix = template.base_features.copy()
         for label, unit_key in unit_keys:

@@ -125,14 +125,13 @@ class QoRPredictor:
         configuration — the single key under which the construction cache,
         the prediction memo and the warm-cache blobs store the design.  The
         serve-layer micro-batcher uses it to score duplicate submissions
-        (same source, HLS-equivalent pragmas) once per batch.
+        (same source, HLS-equivalent pragmas) once per batch.  The rewrite
+        is memoized in the model's construction cache, shared with
+        ``predict_batch``, so a repeated request is not canonicalized again.
         """
-        from repro.frontend.pragmas import PragmaConfig as _PragmaConfig
-        from repro.hls.directives import canonicalize_config
-
         function = self._lowered(source)
-        resolved = config if config is not None else _PragmaConfig()
-        return canonicalize_config(function, resolved).key()
+        resolved = config if config is not None else PragmaConfig()
+        return self.model._graph_cache.canonical_config(function, resolved).key()
 
     def predict_source_batch(
         self,
@@ -196,10 +195,9 @@ class QoRPredictor:
         copying and re-extraction entirely).  The encoding/message-passing
         caches are surfaced too: ``scatter_index_*`` (process-wide flat
         scatter indices, CSR operators and segment counts),
-        ``edge_cache_*`` (process-wide self-loop/degree/norm memos),
+        ``edge_cache_*`` (process-wide self-loop/degree/norm memos) and
         ``batch_cache_*`` (epoch-level assembled-union replay, summed over
-        the model's trainers) and ``encoded_samples`` (per-sample encoded
-        rows pinned by those trainers).  Model-level counters reset on
+        the model's trainers).  Model-level counters reset on
         :meth:`clear_inference_caches` and on retraining; the process-wide
         scatter/edge counters are cumulative for the process.  On top of the
         model's counters, the predictor adds its source-lowering memo:

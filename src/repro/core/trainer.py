@@ -77,8 +77,6 @@ class GraphRegressorTrainer:
         self.encoder: OptypeEncoder | None = None
         self.feature_scaler: FeatureScaler | None = None
         self.target_scalers: dict[str, TargetScaler] = {}
-        #: per-sample encoded (sample, numeric rows, totals, codes) entries
-        self._encoded_cache: dict[int, tuple] = {}
         self._batch_cache = BatchCache()
         #: active inference tier; training always runs float64
         self.precision = "float64"
@@ -90,8 +88,7 @@ class GraphRegressorTrainer:
     # data preparation
     # ------------------------------------------------------------------ #
     def clear_caches(self) -> None:
-        """Drop the encoded-feature and assembled-batch caches."""
-        self._encoded_cache.clear()
+        """Drop the assembled-batch cache (and reset its counters)."""
         self._batch_cache.clear()
 
     def master_state(self) -> dict[str, np.ndarray]:
@@ -157,8 +154,7 @@ class GraphRegressorTrainer:
             if cached is not None:
                 return cached
         batch = make_batch(
-            samples, self.encoder, self.feature_scaler, self.target_names,
-            encoded_cache=self._encoded_cache,
+            samples, self.encoder, self.feature_scaler, self.target_names
         )
         if cache:
             self._batch_cache.put(samples, batch)

@@ -10,8 +10,6 @@ from repro.graph.cache import (
 )
 from repro.graph.cdfg import (
     CDFG,
-    CDFGEdge,
-    CDFGNode,
     EdgeKind,
     LoopLevelFeatures,
     NODE_FEATURE_NAMES,
@@ -31,7 +29,6 @@ from repro.graph.features import (
     annotate_super_node,
     loop_level_features,
     replicated_access_counts,
-    scale_feature_matrix,
 )
 from repro.graph.hierarchy import (
     HierarchicalDecomposition,
@@ -44,13 +41,13 @@ from repro.graph.hierarchy import (
 __all__ = [
     "FunctionSkeleton", "GraphConstructionCache", "ir_fingerprint",
     "outer_cache_key", "unit_cache_key",
-    "CDFG", "CDFGEdge", "CDFGNode", "EdgeKind", "LoopLevelFeatures",
+    "CDFG", "EdgeKind", "LoopLevelFeatures",
     "NODE_FEATURE_NAMES", "NodeKind",
     "GraphBuilder", "IOPORT_OPTYPE", "SUPER_NONPIPELINED_OPTYPE",
     "SUPER_PIPELINED_OPTYPE", "build_flat_graph", "build_loop_subgraph",
     "naive_emission",
     "analytical_ii", "annotate_super_node", "loop_level_features",
-    "replicated_access_counts", "scale_feature_matrix",
+    "replicated_access_counts",
     "HierarchicalDecomposition", "InnerLoopUnit", "InnerUnitCategory",
     "classify_inner_units", "decompose",
 ]

@@ -24,7 +24,7 @@ because hierarchical inference annotates super nodes in place.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.graph.cdfg import (
     LoopLevelFeatures,
     NodeKind,
 )
+from repro.hls.directives import canonicalize_config
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.structure import IfRegion, IRFunction, Loop, Region
 
@@ -142,9 +143,9 @@ def cdfg_from_payload(payload: dict) -> CDFG:
 
     Reads the columnar v2 layout (``optype_table`` + ``feature_rows``): the
     payload maps 1:1 onto the node columns, so the whole graph loads as list
-    comprehensions + one matrix build — no node objects, no per-node feature
-    writes.  Versioned warm-cache blobs from before the columnar layout are
-    discarded upstream.
+    comprehensions + one matrix build — no per-node feature writes.
+    Versioned warm-cache blobs from before the columnar layout are discarded
+    upstream.
     """
     graph = CDFG(name=payload["name"])
     table = [str(name) for name in payload["optype_table"]]
@@ -363,10 +364,9 @@ def outer_cache_key(
 # --------------------------------------------------------------------------- #
 @dataclass
 class CachedUnit:
-    """A cached inner-loop subgraph plus caller-stashed derived artifacts."""
+    """A cached inner-loop subgraph."""
 
     subgraph: CDFG
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -398,8 +398,7 @@ class GraphConstructionCache:
     re-imported by a different process (see ``core.serialization``).
     Skeletons and the analysis memo hold object references into the IR, so
     they stay keyed per function *object*; the stored strong reference
-    guarantees an ``id()`` can never be recycled while its entry is alive
-    (same pattern as ``make_batch``'s encoded cache).
+    guarantees an ``id()`` can never be recycled while its entry is alive.
     """
 
     def __init__(self):
@@ -421,10 +420,11 @@ class GraphConstructionCache:
         #: the *canonical* configuration key, so equivalent raw
         #: configurations share one classification pass
         self.analysis: dict[tuple[int, str], tuple] = {}
-        #: per-(function, raw config key) effective-form memo (see
-        #: :func:`repro.hls.directives.canonicalize_config`); populated by
-        #: the decomposition entrypoints so each raw design is rewritten once
-        self.canonical: dict[tuple[int, str], PragmaConfig] = {}
+        #: per-(function, raw config key) effective-form memo behind
+        #: :meth:`canonical_config`
+        self._canonical: dict[
+            tuple[int, str], tuple[IRFunction, PragmaConfig]
+        ] = {}
         self.stats = CacheStats()
 
     def library_token(self, library) -> str:
@@ -441,6 +441,25 @@ class GraphConstructionCache:
         digest = ir_fingerprint(function)
         self._fingerprints[id(function)] = (function, digest)
         return digest
+
+    def canonical_config(
+        self, function: IRFunction, config: PragmaConfig
+    ) -> PragmaConfig:
+        """The effective form of ``config`` (see
+        :func:`~repro.hls.directives.canonicalize_config`), memoized per
+        (function object, raw configuration key).
+
+        The decomposition entrypoints and the serve layer's request
+        signature all go through here, so each raw design is rewritten once
+        per function however many of them ask.
+        """
+        key = (id(function), config.key())
+        entry = self._canonical.get(key)
+        if entry is not None and entry[0] is function:
+            return entry[1]
+        canonical = canonicalize_config(function, config)
+        self._canonical[key] = (function, canonical)
+        return canonical
 
     # ------------------------------------------------------------------ #
     def skeleton(self, function: IRFunction) -> FunctionSkeleton:
@@ -578,7 +597,7 @@ class GraphConstructionCache:
         self._imported_unit_keys.clear()
         self._imported_outer_keys.clear()
         self.analysis.clear()
-        self.canonical.clear()
+        self._canonical.clear()
         self.stats = CacheStats()
 
 

@@ -6,24 +6,22 @@ for array arguments, and *super nodes* that stand for already-predicted inner
 loops during hierarchical modeling).  Edges carry a type: data flow, control
 flow, or memory (port-to-access) edges.
 
-Storage is **columnar end to end**: edges live in parallel ``edge_src`` /
-``edge_dst`` / ``edge_kinds`` lists, the Table II numerical node features
-live in one growable ``(N, 9)`` float64 block (:class:`_FeatureColumns`)
-whose rows are indexed by node id, and optypes are interned into a per-graph
-code column.  ``node.features`` stays a dict-like object — a
-:class:`_FeatureRow` view over the node's matrix row — so annotation code and
-tests keep their mapping idiom, while ``feature_matrix()`` is a zero-copy
-view, replica replay copies feature rows with one slice assignment, and
-``copy()``/``subgraph()`` move features as single array operations.
+Storage is **columns only**: edges live in parallel ``edge_src`` /
+``edge_dst`` / ``edge_kinds`` columns, node identity attributes in parallel
+per-attribute lists, the Table II numerical node features in one growable
+``(N, 9)`` float64 block (:class:`_FeatureColumns`) whose rows are indexed by
+node id, and optypes are interned into a per-graph code column.  There are no
+per-node or per-edge objects: ``feature_matrix()`` is a zero-copy view,
+feature writes go to the block's ``matrix`` directly, replica replay copies
+rows with one slice assignment and ``copy()`` moves every column as a single
+array or list operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 
@@ -118,9 +116,8 @@ class _FeatureColumns:
 
         The returned slice is marked non-writeable: consumers share the
         backing block, so a stray in-place edit through one view would
-        silently corrupt every other consumer's features.  Mutation goes
-        through :class:`_FeatureRow` (which writes the backing ``matrix``
-        directly) or an explicit :meth:`copy`.
+        silently corrupt every other consumer's features.  Mutation writes
+        the backing ``matrix`` directly or works on an explicit :meth:`copy`.
         """
         window = self.matrix[: self.count]
         window.setflags(write=False)
@@ -205,140 +202,6 @@ class _EdgeColumns:
         return clone
 
 
-class _FeatureRow:
-    """Dict-like view of one node's row in the columnar feature block.
-
-    Supports the mapping idiom annotation code uses (``[]``, ``get``,
-    ``update``, iteration, ``**`` unpacking); writes land directly in the
-    shared matrix.  Only :data:`NODE_FEATURE_NAMES` entries exist — missing
-    names read as their defaults and cannot be assigned.
-    """
-
-    __slots__ = ("_store", "_row")
-
-    def __init__(self, store: _FeatureColumns, row: int):
-        self._store = store
-        self._row = row
-
-    def __getitem__(self, name: str) -> float:
-        column = FEATURE_COLUMN.get(name)
-        if column is None:
-            raise KeyError(name)
-        return float(self._store.matrix[self._row, column])
-
-    def __setitem__(self, name: str, value: float) -> None:
-        column = FEATURE_COLUMN.get(name)
-        if column is None:
-            raise KeyError(
-                f"unknown node feature {name!r}; CDFGs store exactly "
-                f"{NODE_FEATURE_NAMES}"
-            )
-        self._store.matrix[self._row, column] = value
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        column = FEATURE_COLUMN.get(name)
-        if column is None:
-            return default
-        return float(self._store.matrix[self._row, column])
-
-    def update(self, other=(), **values) -> None:
-        """Assign several features at once (mapping, pairs or kwargs)."""
-        row = self._store.matrix[self._row]
-        if other:
-            items = other.items() if hasattr(other, "items") else other
-            for name, value in items:
-                row[FEATURE_COLUMN[name]] = value
-        for name, value in values.items():
-            row[FEATURE_COLUMN[name]] = value
-
-    def keys(self):
-        """Feature names, in canonical column order."""
-        return NODE_FEATURE_NAMES
-
-    def values(self) -> list[float]:
-        """Feature values, aligned with :meth:`keys`."""
-        return self._store.matrix[self._row].tolist()
-
-    def items(self):
-        """``(name, value)`` pairs in canonical column order."""
-        return list(zip(NODE_FEATURE_NAMES, self._store.matrix[self._row].tolist()))
-
-    def as_dict(self) -> dict[str, float]:
-        """A plain-dict snapshot of the row."""
-        return dict(self.items())
-
-    def __contains__(self, name: str) -> bool:
-        return name in FEATURE_COLUMN
-
-    def __iter__(self):
-        return iter(NODE_FEATURE_NAMES)
-
-    def __len__(self) -> int:
-        return _NUM_FEATURES
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _FeatureRow):
-            return bool(
-                (self._store.matrix[self._row] == other._store.matrix[other._row])
-                .all()
-            )
-        if isinstance(other, dict):
-            return self.as_dict() == {
-                name: float(value) for name, value in other.items()
-            } | {
-                name: 0.0 for name in NODE_FEATURE_NAMES if name not in other
-            }
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"_FeatureRow({self.as_dict()!r})"
-
-
-@dataclass
-class CDFGNode:
-    """A single CDFG node.
-
-    ``optype`` is the string fed to the one-hot encoder (IR opcode value,
-    ``"ioport"`` for memory ports, ``"super_p"``/``"super_np"`` for super
-    nodes).  ``features`` maps :data:`NODE_FEATURE_NAMES` entries to values;
-    on every node a :class:`CDFG` hands out it is a :class:`_FeatureRow`
-    view into the graph's columnar feature block.
-    """
-
-    node_id: int
-    kind: NodeKind = NodeKind.OPERATION
-    optype: str = "add"
-    dtype: str = "i32"
-    loop_label: str = ""
-    array: str = ""
-    instr_id: int = -1
-    replica: int = 0
-    features: "dict[str, float] | _FeatureRow" = field(default_factory=dict)
-
-    def feature_vector(self) -> np.ndarray:
-        """Numerical feature vector in :data:`NODE_FEATURE_NAMES` order."""
-        features = self.features
-        if type(features) is _FeatureRow:
-            return features._store.matrix[features._row].copy()
-        return np.array(
-            [float(features.get(name, 0.0)) for name in NODE_FEATURE_NAMES],
-            dtype=np.float64,
-        )
-
-
-class CDFGEdge(NamedTuple):
-    """A directed edge between two CDFG nodes.
-
-    A ``NamedTuple`` rather than a dataclass: graph construction appends
-    hundreds of thousands of edges on the DSE hot path and tuple creation is
-    several times cheaper while staying immutable and field-addressable.
-    """
-
-    src: int
-    dst: int
-    kind: EdgeKind = EdgeKind.DATA
-
-
 @dataclass
 class LoopLevelFeatures:
     """Loop-level features attached to a (sub)graph (Section III-B.2).
@@ -371,30 +234,22 @@ class LoopLevelFeatures:
 class CDFG:
     """A control and data flow graph with typed nodes and edges.
 
-    Storage is **columnar**: edges live in parallel ``edge_src`` /
-    ``edge_dst`` / ``edge_kinds`` lists, node identity attributes in
+    Storage is **columns only**: edges live in parallel ``edge_src`` /
+    ``edge_dst`` / ``edge_kinds`` columns, node identity attributes in
     parallel per-attribute lists (``node_kinds``, ``node_dtypes``,
     ``node_loop_labels``, ``node_arrays``, ``node_instr_ids``,
     ``node_replicas`` plus interned ``optype_codes``), and numerical
-    features in the :class:`_FeatureColumns` block.  The DSE hot path
-    appends and remaps hundreds of thousands of nodes/edges per sweep, and
-    flat columns turn replica replay, ``edge_index``, ``feature_matrix``
-    and ``degree_arrays`` into C-speed bulk operations with no per-node
-    Python objects.
-
-    The familiar object views are materialized lazily: :attr:`nodes` builds
-    :class:`CDFGNode` instances (whose ``features`` are row views into the
-    feature block) on first access, :attr:`edges` the :class:`CDFGEdge`
-    list.  Treat materialized node identity attributes as read-only — the
-    columns are authoritative; ``features`` writes go straight to the
-    shared block either way.
+    features in the :class:`_FeatureColumns` block (``feat.matrix`` row
+    ``i`` is node ``i``).  The DSE hot path appends and remaps hundreds of
+    thousands of nodes/edges per sweep, and flat columns turn replica
+    replay, ``edge_index``, ``feature_matrix`` and ``degree_arrays`` into
+    C-speed bulk operations with no per-node Python objects.
     """
 
     def __init__(self, name: str = "cdfg"):
         self.name = name
         self._edges = _EdgeColumns()
         self.edge_kinds: list[EdgeKind] = []
-        self._edge_view: list[CDFGEdge] = []
         self._edge_index_cache: np.ndarray | None = None
         self.loop_features: LoopLevelFeatures = LoopLevelFeatures()
         #: free-form metadata (kernel name, config description, loop label...)
@@ -413,9 +268,6 @@ class CDFG:
         self.node_arrays: list[str] = []
         self.node_instr_ids: list[int] = []
         self.node_replicas: list[int] = []
-        #: eagerly-created prefix of the node-object view (replica replay
-        #: leaves a tail that only materializes if someone asks for `nodes`)
-        self._materialized: list[CDFGNode] = []
 
     def intern_optype(self, optype: str) -> int:
         """The per-graph integer code of ``optype`` (interned on first use)."""
@@ -425,31 +277,6 @@ class CDFG:
             self._optype_index[optype] = code
             self.optype_table.append(optype)
         return code
-
-    @property
-    def nodes(self) -> list[CDFGNode]:
-        """Node-object view of the columns (tail materialized when stale)."""
-        nodes = self._materialized
-        total = len(self.node_kinds)
-        if len(nodes) != total:
-            store = self.feat
-            table = self.optype_table
-            codes = self.optype_codes
-            kinds = self.node_kinds
-            dtypes = self.node_dtypes
-            labels = self.node_loop_labels
-            arrays = self.node_arrays
-            instr_ids = self.node_instr_ids
-            replicas = self.node_replicas
-            for index in range(len(nodes), total):
-                nodes.append(CDFGNode(
-                    node_id=index, kind=kinds[index],
-                    optype=table[codes[index]], dtype=dtypes[index],
-                    loop_label=labels[index], array=arrays[index],
-                    instr_id=instr_ids[index], replica=replicas[index],
-                    features=_FeatureRow(store, index),
-                ))
-        return nodes
 
     @property
     def edge_src(self) -> np.ndarray:
@@ -466,55 +293,9 @@ class CDFG:
         view.setflags(write=False)
         return view
 
-    @property
-    def edges(self) -> list[CDFGEdge]:
-        """Edge-object view of the columnar store (rebuilt when stale)."""
-        view = self._edge_view
-        if len(view) != self._edges.count:
-            view = self._edge_view = [
-                CDFGEdge(int(src), int(dst), kind)
-                for src, dst, kind in zip(
-                    *self._edges.views(), self.edge_kinds
-                )
-            ]
-        return view
-
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def add_node(
-        self,
-        optype: str,
-        kind: NodeKind = NodeKind.OPERATION,
-        dtype: str = "i32",
-        loop_label: str = "",
-        array: str = "",
-        instr_id: int = -1,
-        replica: int = 0,
-        features: dict[str, float] | None = None,
-    ) -> CDFGNode:
-        materialized = self._materialized
-        if len(materialized) != len(self.node_kinds):
-            materialized = self.nodes  # close a pending replica tail first
-        node_id = len(self.node_kinds)
-        self.optype_codes.append(self.intern_optype(optype))
-        self.node_kinds.append(kind)
-        self.node_dtypes.append(dtype)
-        self.node_loop_labels.append(loop_label)
-        self.node_arrays.append(array)
-        self.node_instr_ids.append(instr_id)
-        self.node_replicas.append(replica)
-        node_features = _FeatureRow(self.feat, self.feat.append_row())
-        if features:
-            node_features.update(features)
-        node = CDFGNode(
-            node_id=node_id, kind=kind, optype=optype, dtype=dtype,
-            loop_label=loop_label, array=array, instr_id=instr_id,
-            replica=replica, features=node_features,
-        )
-        materialized.append(node)
-        return node
-
     def append_node(
         self,
         optype: str,
@@ -525,12 +306,11 @@ class CDFG:
         instr_id: int = -1,
         replica: int = 0,
     ) -> int:
-        """Columns-only node append: returns the node id, creates no object.
+        """Append one node to the columns and return its id.
 
-        The emission hot path uses this instead of :meth:`add_node` — node
-        attributes go straight into the columns (and a zeroed feature row
-        into the block) and the object view stays unmaterialized until
-        someone asks for :attr:`nodes`.
+        The node's attributes go straight into the columns and a zeroed row
+        into the feature block; callers set features by writing
+        ``feat.matrix[node_id]``.
         """
         node_id = len(self.node_kinds)
         self.optype_codes.append(self.intern_optype(optype))
@@ -547,10 +327,9 @@ class CDFG:
         """Bulk-append copies of nodes ``[start, stop)`` (replica replay).
 
         Every node column — identity attributes, optype codes and the
-        feature rows — is extended with one C-level slice copy; **no node
-        objects are created** (the object view materializes lazily if ever
-        requested).  The caller rewrites the replica-dependent pieces
-        (``node_replicas`` entries) afterwards.
+        feature rows — is extended with one C-level slice copy.  The caller
+        rewrites the replica-dependent pieces (``node_replicas`` entries)
+        afterwards.
         """
         self.optype_codes.extend(self.optype_codes[start:stop])
         self.node_kinds.extend(self.node_kinds[start:stop])
@@ -584,12 +363,6 @@ class CDFG:
     def num_edges(self) -> int:
         return self._edges.count
 
-    def in_degree(self, node_id: int) -> int:
-        return int((self.edge_dst == node_id).sum())
-
-    def out_degree(self, node_id: int) -> int:
-        return int((self.edge_src == node_id).sum())
-
     def degree_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(in_degree, out_degree) arrays for all nodes, computed in one pass."""
         if not self._edges.count:
@@ -599,18 +372,6 @@ class CDFG:
         in_degree = np.bincount(dst, minlength=self.num_nodes)
         out_degree = np.bincount(src, minlength=self.num_nodes)
         return in_degree, out_degree
-
-    def nodes_of_kind(self, kind: NodeKind) -> list[CDFGNode]:
-        return [node for node in self.nodes if node.kind is kind]
-
-    def nodes_of_optype(self, optype: str) -> list[CDFGNode]:
-        return [node for node in self.nodes if node.optype == optype]
-
-    def memory_port_nodes(self, array: str | None = None) -> list[CDFGNode]:
-        ports = self.nodes_of_kind(NodeKind.MEMORY_PORT)
-        if array is None:
-            return ports
-        return [node for node in ports if node.array == array]
 
     def edge_index(self) -> np.ndarray:
         """Edge list as a (2, E) integer array (PyG-style ``edge_index``).
@@ -635,59 +396,13 @@ class CDFG:
         self._edge_index_cache = cached
         return cached
 
-    def edge_kind_codes(self) -> np.ndarray:
-        """Integer code per edge (0=data, 1=control, 2=memory)."""
-        codes = {EdgeKind.DATA: 0, EdgeKind.CONTROL: 1, EdgeKind.MEMORY: 2}
-        return np.array([codes[kind] for kind in self.edge_kinds], dtype=np.int64)
+    def copy(self) -> "CDFG":
+        """An independent copy sharing no mutable state with the original.
 
-    # ------------------------------------------------------------------ #
-    # conversions
-    # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Convert to a networkx graph (used for analysis and visualisation)."""
-        graph = nx.MultiDiGraph(name=self.name)
-        for node in self.nodes:
-            graph.add_node(
-                node.node_id, optype=node.optype, kind=node.kind.value,
-                loop=node.loop_label, array=node.array, **node.features,
-            )
-        for src, dst, kind in zip(self.edge_src, self.edge_dst, self.edge_kinds):
-            graph.add_edge(src, dst, kind=kind.value)
-        return graph
-
-    def subgraph(self, node_ids: list[int], name: str = "") -> "CDFG":
-        """Induced subgraph over ``node_ids`` (node ids are re-numbered)."""
-        keep = {old: new for new, old in enumerate(node_ids)}
-        sub = CDFG(name=name or f"{self.name}.sub")
-        if node_ids:
-            # one fancy-indexed copy instead of per-node feature transfers
-            sub.feat.matrix = self.feature_matrix()[
-                np.asarray(node_ids, dtype=np.int64)
-            ].copy()
-            sub.feat.count = len(node_ids)
-        table = self.optype_table
-        for old_id in node_ids:
-            sub.optype_codes.append(
-                sub.intern_optype(table[self.optype_codes[old_id]])
-            )
-            sub.node_kinds.append(self.node_kinds[old_id])
-            sub.node_dtypes.append(self.node_dtypes[old_id])
-            sub.node_loop_labels.append(self.node_loop_labels[old_id])
-            sub.node_arrays.append(self.node_arrays[old_id])
-            sub.node_instr_ids.append(self.node_instr_ids[old_id])
-            sub.node_replicas.append(self.node_replicas[old_id])
-        for src, dst, kind in zip(self.edge_src, self.edge_dst, self.edge_kinds):
-            src = int(src)
-            dst = int(dst)
-            if src in keep and dst in keep:
-                sub._edges.append(keep[src], keep[dst])
-                sub.edge_kinds.append(kind)
-        sub.loop_features = self.loop_features
-        sub.metadata = dict(self.metadata)
-        return sub
-
-    def _copy_columns_into(self, clone: "CDFG") -> None:
-        """Copy every node/edge column of ``self`` into ``clone``."""
+        The whole copy is a handful of C-level list copies plus one
+        feature-matrix copy.
+        """
+        clone = CDFG(name=self.name)
         clone.optype_codes = list(self.optype_codes)
         clone.optype_table = list(self.optype_table)
         clone._optype_index = dict(self._optype_index)
@@ -699,16 +414,6 @@ class CDFG:
         clone.node_replicas = list(self.node_replicas)
         clone._edges = self._edges.copy()
         clone.edge_kinds = list(self.edge_kinds)
-
-    def copy(self) -> "CDFG":
-        """An independent copy sharing no mutable state with the original.
-
-        The whole copy is a handful of C-level list copies plus one
-        feature-matrix copy — **no node objects** (the clone's object view
-        materializes lazily).
-        """
-        clone = CDFG(name=self.name)
-        self._copy_columns_into(clone)
         clone.loop_features = self.loop_features
         clone.metadata = dict(self.metadata)
         clone.feat = self.feat.copy()
@@ -718,16 +423,16 @@ class CDFG:
         """(N, len(NODE_FEATURE_NAMES)) matrix of numerical node features.
 
         A **zero-copy, read-only view** of the live rows of the feature
-        block — writes through any node's ``features`` are visible to every
-        view, but the view itself is marked non-writeable (all views share
-        one backing block, so an in-place edit would corrupt every
-        consumer).  Consumers that need a mutable matrix copy it explicitly.
+        block — writes to ``feat.matrix`` are visible to every view, but the
+        view itself is marked non-writeable (all views share one backing
+        block, so an in-place edit would corrupt every consumer).  Consumers
+        that need a mutable matrix copy it explicitly.
         """
         return self.feat.view()
 
     def optype_list(self) -> list[str]:
         """Per-node optype strings (memoized: callers get a stable list
-        object, so encoders can key per-list memos on its identity)."""
+        object)."""
         cached = self._optype_list_cache
         if cached is None or len(cached) != len(self.optype_codes):
             table = self.optype_table
@@ -755,9 +460,9 @@ class CDFG:
         return {
             "nodes": self.num_nodes,
             "edges": self.num_edges,
-            "operation_nodes": len(self.nodes_of_kind(NodeKind.OPERATION)),
-            "memory_ports": len(self.nodes_of_kind(NodeKind.MEMORY_PORT)),
-            "super_nodes": len(self.nodes_of_kind(NodeKind.SUPER_NODE)),
+            "operation_nodes": self.node_kinds.count(NodeKind.OPERATION),
+            "memory_ports": self.node_kinds.count(NodeKind.MEMORY_PORT),
+            "super_nodes": self.node_kinds.count(NodeKind.SUPER_NODE),
             "data_edges": self.edge_kinds.count(EdgeKind.DATA),
             "control_edges": self.edge_kinds.count(EdgeKind.CONTROL),
             "memory_edges": self.edge_kinds.count(EdgeKind.MEMORY),
@@ -768,6 +473,6 @@ class CDFG:
 
 
 __all__ = [
-    "CDFG", "CDFGNode", "CDFGEdge", "NodeKind", "EdgeKind",
+    "CDFG", "NodeKind", "EdgeKind",
     "LoopLevelFeatures", "NODE_FEATURE_NAMES", "FEATURE_COLUMN",
 ]

@@ -751,7 +751,7 @@ class GraphBuilder:
                             (base + node_rel - outer.node_start,
                              instr, shifted, is_load)
                         )
-            # columns only: the copies create no node objects at all
+            # one slice copy per node column
             cdfg.extend_replica_span(node_start, span_stop)
             replicas = cdfg.node_replicas
             for rel in rec.replica_nodes:

@@ -135,9 +135,8 @@ def annotate_super_node(
 
     The super node keeps the full Table II feature set; latency maps onto the
     ``cycles`` feature and the predicted resources onto ``lut``/``dsp``/``ff``.
-    The annotation writes straight into the graph's feature block without
-    touching (or materializing) any node object; a never-written (0.0)
-    ``invocations`` count scales ``work`` as 1.
+    The annotation writes straight into the graph's feature block; a
+    never-written (0.0) ``invocations`` count scales ``work`` as 1.
     """
     row = graph.feat.matrix[node_id]
     row[_COLUMN["cycles"]] = float(latency)
@@ -151,30 +150,7 @@ def annotate_super_node(
     )
 
 
-def scale_feature_matrix(graph: CDFG, log_scale: bool = True):
-    """Return the numerical feature matrix, optionally log-compressed.
-
-    Invocation counts, cycles and resource figures span several orders of
-    magnitude; ``log1p`` compression keeps the GNN inputs well-conditioned.
-
-    This is a fused two-pass op over the graph's feature block: one clamped
-    copy, one in-place ``log1p`` — no per-node walk and no intermediate
-    full-size temporaries.  With ``log_scale=False`` the feature block is
-    returned as a **zero-copy view** (see
-    :meth:`repro.graph.cdfg.CDFG.feature_matrix`).
-    """
-    import numpy as np
-
-    matrix = graph.feature_matrix()
-    if log_scale:
-        # clamp into a fresh buffer (never mutate the graph's columns),
-        # then compress in place in that same buffer
-        matrix = np.maximum(matrix, 0.0)
-        np.log1p(matrix, out=matrix)
-    return matrix
-
-
 __all__ = [
     "replicated_access_counts", "analytical_ii", "loop_level_features",
-    "annotate_super_node", "scale_feature_matrix",
+    "annotate_super_node",
 ]

@@ -142,7 +142,8 @@ def _canonical_config(
     config: PragmaConfig,
     cache: GraphConstructionCache | None,
 ) -> PragmaConfig:
-    """The effective form of ``config`` (memoized per raw key in the cache).
+    """The effective form of ``config`` (memoized per raw key in the cache,
+    see :meth:`GraphConstructionCache.canonical_config`).
 
     Both decomposition entrypoints canonicalize through this, so unit/outer
     cache keys, the analysis memo and every signature downstream (prediction
@@ -154,12 +155,7 @@ def _canonical_config(
         return config
     if cache is None:
         return canonicalize_config(function, config)
-    key = (id(function), config.key())
-    entry = cache.canonical.get(key)
-    if entry is None:
-        entry = canonicalize_config(function, config)
-        cache.canonical[key] = entry
-    return entry
+    return cache.canonical_config(function, config)
 
 
 def _loop_analysis(

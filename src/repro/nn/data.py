@@ -12,10 +12,14 @@ buffer for the numeric columns, fused in-place feature scaling,
 ``np.repeat``-based batch/edge offsets — and **no one-hot block at all**:
 the union carries per-node optype codes that the model's first layer
 resolves as an embedding gather from its own weights (see
-:func:`repro.nn.autograd.embedding_linear`).  The per-sample encoder it
-replaced lives on as a test oracle under ``tests/reference/``.
-:class:`BatchCache` adds epoch-level reuse on top: an already-assembled disjoint union is
-replayed as long as the exact same samples are grouped the same way.
+:func:`repro.nn.autograd.embedding_linear`).  Every sample carries an
+interned optype column (a small string table plus one int64 code per node),
+so encoding translates each table once and gathers, and every union is
+encoded afresh from its samples.  The per-sample encoder this replaced lives
+on as a test oracle under ``tests/reference/``.
+:class:`BatchCache` adds epoch-level reuse on top: an already-assembled
+disjoint union is replayed as long as the exact same samples are grouped the
+same way.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from repro.flags import active_precision
 class GraphSample:
     """One training sample: an annotated graph and its QoR labels.
 
-    ``graph_codes``/``graph_table`` optionally carry the source CDFG's
-    interned optype column (one small string table plus an int64 code per
-    node): when present, encoders translate the table once and gather the
-    codes instead of resolving one string per node.  ``optypes`` remains
-    authoritative — ``table[codes[i]] == optypes[i]`` always.
+    ``graph_codes``/``graph_table`` are the interned optype column (one
+    small string table plus an int64 code per node) that encoders translate
+    once per table and gather, instead of resolving one string per node.
+    Samples converted from a CDFG carry the graph's own column; when they
+    are not given, :meth:`__post_init__` interns ``optypes`` in first-seen
+    order.  ``table[codes[i]] == optypes[i]`` always.
     """
 
     optypes: list[str]
@@ -50,6 +55,15 @@ class GraphSample:
     metadata: dict[str, str] = field(default_factory=dict)
     graph_codes: np.ndarray | None = None
     graph_table: list[str] | None = None
+
+    def __post_init__(self) -> None:
+        if self.graph_codes is None:
+            index: dict[str, int] = {}
+            self.graph_codes = np.array(
+                [index.setdefault(optype, len(index)) for optype in self.optypes],
+                dtype=np.int64,
+            )
+            self.graph_table = list(index)
 
     @property
     def num_nodes(self) -> int:
@@ -95,22 +109,21 @@ class Batch:
 
 
 class OptypeEncoder:
-    """One-hot encoder over operation-type strings.
+    """Optype-string vocabulary: one index per known optype.
 
     Unknown optypes at inference time map to a dedicated ``<unk>`` slot, so a
     model trained on one benchmark set degrades gracefully on new kernels.
+    The index is the row of the model's first-layer weights the optype
+    gathers (the elided one-hot column).
     """
 
     UNKNOWN = "<unk>"
 
-    #: bound on the per-``optypes``-list index memo (see :meth:`encode_indices`)
+    #: bound on the per-graph-table translation memo
     MAX_MEMO_ENTRIES = 4096
 
     def __init__(self, vocabulary: list[str] | None = None):
         self._index: dict[str, int] = {}
-        self._codes_memo: OrderedDict[int, tuple[list[str], np.ndarray]] = (
-            OrderedDict()
-        )
         #: per-graph-table translation memo (see :meth:`encode_sample_indices`)
         self._table_memo: OrderedDict[int, tuple[list[str], np.ndarray]] = (
             OrderedDict()
@@ -125,7 +138,6 @@ class OptypeEncoder:
             for optype in optypes:
                 self._index.setdefault(optype, len(self._index))
         self._index.setdefault(self.UNKNOWN, len(self._index))
-        self._codes_memo.clear()
         self._table_memo.clear()
         return self
 
@@ -137,43 +149,16 @@ class OptypeEncoder:
     def vocabulary(self) -> list[str]:
         return sorted(self._index, key=self._index.get)
 
-    def encode_indices(self, optypes: list[str]) -> np.ndarray:
-        """Vocabulary index per optype (unknowns map to the ``<unk>`` slot).
-
-        The string-to-index pass is the one part of encoding that cannot be
-        vectorized, so it is memoized per ``optypes`` *list object*: samples
-        derived from a shared graph template (e.g. the condensed outer graphs
-        of a DSE sweep) share their optype list and pay the lookup once.  The
-        memo holds a strong reference to the list, so a recycled ``id`` can
-        never alias a dead list; eviction is LRU and bounded.
-        """
-        memo = self._codes_memo
-        entry = memo.get(id(optypes))
-        if entry is not None and entry[0] is optypes:
-            memo.move_to_end(id(optypes))
-            return entry[1]
-        unknown = self._index[self.UNKNOWN]
-        columns = np.fromiter(
-            (self._index.get(optype, unknown) for optype in optypes),
-            dtype=np.int64, count=len(optypes),
-        )
-        while len(memo) >= self.MAX_MEMO_ENTRIES:
-            memo.popitem(last=False)
-        memo[id(optypes)] = (optypes, columns)
-        return columns
-
     def encode_sample_indices(self, sample: "GraphSample") -> np.ndarray:
-        """Vocabulary index per node of ``sample``, preferring graph codes.
+        """Vocabulary index per node of ``sample`` (unknowns map to ``<unk>``).
 
-        When the sample carries its CDFG's interned optype column, the
-        (tiny) per-graph table is translated into vocabulary indices once —
-        memoized per table object — and the per-node codes gather from it,
-        replacing one dict lookup per node with one fancy index.  Samples
-        without codes fall back to :meth:`encode_indices`.
+        The sample's (tiny) optype table is translated into vocabulary
+        indices once — memoized per table object, so samples sharing a
+        graph's table pay the string lookups once — and the per-node codes
+        gather from it: one fancy index instead of one dict lookup per node.
+        The memo holds a strong reference to each table, so a recycled
+        ``id`` can never alias a dead one; eviction is LRU and bounded.
         """
-        codes = sample.graph_codes
-        if codes is None:
-            return self.encode_indices(sample.optypes)
         table = sample.graph_table
         memo = self._table_memo
         entry = memo.get(id(table))
@@ -188,28 +173,19 @@ class OptypeEncoder:
             memo[id(table)] = entry = (table, translation)
         else:
             memo.move_to_end(id(table))
-        return entry[1][codes]
-
-    def encode(self, optypes: list[str]) -> np.ndarray:
-        columns = self.encode_indices(optypes)
-        matrix = np.zeros((len(optypes), self.dim), dtype=np.float64)
-        if len(optypes):
-            matrix[np.arange(len(optypes)), columns] = 1.0
-        return matrix
+        return entry[1][sample.graph_codes]
 
 
 class FeatureScaler:
     """Standardize numerical node features after ``log1p`` compression."""
 
-    def __init__(self, log_compress: bool = True):
-        self.log_compress = log_compress
+    def __init__(self):
         self.mean_: np.ndarray | None = None
         self.std_: np.ndarray | None = None
 
-    def _compress(self, matrix: np.ndarray) -> np.ndarray:
-        if self.log_compress:
-            return np.log1p(np.maximum(matrix, 0.0))
-        return matrix
+    @staticmethod
+    def _compress(matrix: np.ndarray) -> np.ndarray:
+        return np.log1p(np.maximum(matrix, 0.0))
 
     def fit(self, matrices: list[np.ndarray]) -> "FeatureScaler":
         stacked = np.concatenate(
@@ -255,19 +231,11 @@ class TargetScaler:
         return np.expm1(np.clip(raw, -50.0, 50.0))
 
 
-def _sample_totals(sample: GraphSample) -> np.ndarray:
-    """``log1p`` of the column-wise sum of the raw clamped features."""
-    if not sample.features.size:
-        return np.zeros(0)
-    return np.log1p(np.maximum(sample.features, 0.0).sum(axis=0))
-
-
 def make_batch(
     samples: list[GraphSample],
     encoder: OptypeEncoder,
-    feature_scaler: FeatureScaler | None = None,
+    feature_scaler: FeatureScaler,
     target_names: tuple[str, ...] = (),
-    encoded_cache: dict | None = None,
 ) -> Batch:
     """Assemble a mini-batch from graph samples in one vectorized pass.
 
@@ -280,11 +248,6 @@ def make_batch(
     matrix — value-for-value what multiplying the elided one-hot block by
     those weights would produce (see
     :func:`repro.nn.autograd.embedding_linear`).
-
-    ``encoded_cache`` (keyed by ``id(sample)``) lets callers reuse encoded
-    node-feature rows and codes across epochs instead of re-encoding every
-    batch.  The cache entries hold a reference to the sample itself so
-    object ids can never be recycled while an entry is alive.
     """
     num_graphs = len(samples)
     counts = np.fromiter(
@@ -299,78 +262,30 @@ def make_batch(
         if features.ndim == 2 and features.shape[1]:
             numeric_width = features.shape[1]
             break
-    dim = encoder.dim
-    # every row is written below (cache hits and misses alike), so the
-    # union buffers start uninitialized; their dtype is the context's
-    # precision tier (float64 by default — bit-identical to before)
+    # every row is written below, so the union buffers start uninitialized;
+    # their dtype is the context's precision tier (float64 by default)
     dtype = np.dtype(active_precision())
     x = np.empty((total_nodes, numeric_width), dtype=dtype)
     codes = np.empty(total_nodes, dtype=np.int64)
-    numeric = x
-    totals: list[np.ndarray | None] = [None] * num_graphs
-    misses: list[tuple[int, int, int]] = []
-    any_hit = False
-    for graph_id, sample in enumerate(samples):
-        start, stop = int(offsets[graph_id]), int(offsets[graph_id + 1])
-        entry = None if encoded_cache is None else encoded_cache.get(id(sample))
-        # cached rows must match the union dtype — a float64-era entry is
-        # simply re-encoded (and re-cached) under float32, and vice versa
-        if (
-            entry is not None and len(entry) == 4 and entry[0] is sample
-            and entry[1].dtype == dtype
-        ):
-            x[start:stop] = entry[1]
-            codes[start:stop] = entry[3]
-            totals[graph_id] = (
-                entry[2] if entry[2] is not None else _sample_totals(sample)
-            )
-            any_hit = True
-            continue
-        misses.append((graph_id, start, stop))
+    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    for sample, (start, stop) in zip(samples, bounds):
         if stop > start:
             codes[start:stop] = encoder.encode_sample_indices(sample)
             if numeric_width:
-                numeric[start:stop] = sample.features
-    # fused scaling over every uncached row: clamp, compress and standardize
-    # in place in the union buffer (cached rows, already scaled, are masked
-    # out); per-graph feature totals fall out of the clamped block for free
-    fused = (
-        misses and numeric_width and total_nodes
-        and feature_scaler is not None and feature_scaler.log_compress
-    )
-    if fused:
-        if any_hit:
-            where = np.repeat(
-                np.fromiter(
-                    (totals[graph_id] is None for graph_id in range(num_graphs)),
-                    dtype=bool, count=num_graphs,
-                ),
-                counts,
-            )[:, None]
-        else:
-            where = True
-        np.maximum(numeric, 0.0, out=numeric, where=where)
-        for graph_id, start, stop in misses:
-            if stop > start and samples[graph_id].features.size:
-                totals[graph_id] = np.log1p(numeric[start:stop].sum(axis=0))
-            else:
-                totals[graph_id] = _sample_totals(samples[graph_id])
-        np.log1p(numeric, out=numeric, where=where)
-        np.subtract(numeric, feature_scaler.mean_, out=numeric, where=where)
-        np.divide(numeric, feature_scaler.std_, out=numeric, where=where)
-    elif misses:
-        for graph_id, start, stop in misses:
-            sample = samples[graph_id]
-            totals[graph_id] = _sample_totals(sample)
-            if numeric_width and stop > start and feature_scaler is not None:
-                numeric[start:stop] = feature_scaler.transform(sample.features)
-    if encoded_cache is not None:
-        for graph_id, start, stop in misses:
-            sample = samples[graph_id]
-            encoded_cache[id(sample)] = (
-                sample, x[start:stop].copy(), totals[graph_id],
-                codes[start:stop].copy(),
-            )
+                x[start:stop] = sample.features
+    # fused scaling: clamp, compress and standardize in place in the union
+    # buffer; per-graph feature totals fall out of the clamped block for free
+    if numeric_width:
+        np.maximum(x, 0.0, out=x)
+        totals = [
+            np.log1p(x[start:stop].sum(axis=0)) if stop > start else np.zeros(0)
+            for start, stop in bounds
+        ]
+        np.log1p(x, out=x)
+        np.subtract(x, feature_scaler.mean_, out=x)
+        np.divide(x, feature_scaler.std_, out=x)
+    else:
+        totals = [np.zeros(0)] * num_graphs
     edge_counts = np.fromiter(
         (sample.num_edges for sample in samples), dtype=np.int64, count=num_graphs
     )
@@ -416,7 +331,7 @@ def make_batch(
         num_graphs=num_graphs,
         feature_totals=stacked_totals,
         optype_codes=codes,
-        onehot_dim=dim,
+        onehot_dim=encoder.dim,
     )
 
 

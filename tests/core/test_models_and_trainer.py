@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.models import GlobalGNN, GNNEncoder, InnerLoopGNN
 from repro.core.trainer import GraphRegressorTrainer, TrainingConfig
-from repro.nn.data import GraphSample, OptypeEncoder, make_batch
+from repro.nn.data import FeatureScaler, GraphSample, OptypeEncoder, make_batch
 
 
 def synthetic_samples(count=24, seed=0):
@@ -42,7 +42,8 @@ def input_dim(batch):
 
 def batch_of(samples):
     encoder = OptypeEncoder().fit([s.optypes for s in samples])
-    return make_batch(samples, encoder, target_names=("lut",)), encoder
+    scaler = FeatureScaler().fit([s.features for s in samples])
+    return make_batch(samples, encoder, scaler, target_names=("lut",)), encoder
 
 
 class TestModelArchitectures:
@@ -81,6 +82,8 @@ class TestModelArchitectures:
         for sample in samples:
             sample.features *= 1e4
         batch, encoder = batch_of(samples)
+        # the model sees the raw magnitudes, not the standardized columns
+        batch.x[:] = np.concatenate([sample.features for sample in samples])
         model = GlobalGNN(input_dim(batch), hidden=16, rng=rng)
         assert np.isfinite(model(batch)["latency"].numpy()).all()
 

@@ -112,6 +112,40 @@ def test_qor_predictor_batch_api(gemm_setup):
     assert_predictions_close(sequential, batched)
 
 
+def test_repeated_request_signature_is_not_canonicalized_again(monkeypatch):
+    """`canonical_signature` answers a repeated request from the
+    construction cache's canonical memo — the one `predict_batch`'s
+    signatures share — instead of rewriting the configuration again."""
+    import repro.graph.cache as graph_cache
+    import repro.hls.directives as directives
+    from repro.frontend import LoopDirective, PragmaConfig
+    from repro.graph.hierarchy import decomposition_signature
+    from repro.kernels import KERNEL_SOURCES
+
+    calls = []
+    original = directives.canonicalize_config
+
+    def counting(function, config):
+        calls.append(config.key())
+        return original(function, config)
+
+    monkeypatch.setattr(directives, "canonicalize_config", counting)
+    monkeypatch.setattr(graph_cache, "canonicalize_config", counting, raising=False)
+    predictor = QoRPredictor()
+    source = KERNEL_SOURCES["bicg"]
+    function = predictor._lowered(source)
+    label = function.all_loops()[-1].label
+    config = PragmaConfig.from_dicts(
+        loops={label: LoopDirective(pipeline=True, unroll_factor=2)}
+    )
+    first = predictor.canonical_signature(source, config)
+    assert predictor.canonical_signature(source, config) == first
+    assert calls == [config.key()]
+    # the batched path's signature reads the same memo entry
+    decomposition_signature(function, config, predictor.model._graph_cache)
+    assert calls == [config.key()]
+
+
 def test_batched_explorer_matches_sequential_selection(gemm_setup):
     function, instances, configs = gemm_setup
     model = trained_model(instances, "graphsage")
@@ -188,9 +222,9 @@ def test_template_fast_path_without_prediction_memo(gemm_setup):
 
 
 def test_cache_stats_surface_every_layer(gemm_setup):
-    """`cache_stats` reports the PR-4 encoding/message-passing caches —
-    scatter-index, edge-computation, batch and encoded-sample counters —
-    alongside the construction-cache stats."""
+    """`cache_stats` reports the encoding/message-passing caches —
+    scatter-index, edge-computation and batch counters — alongside the
+    construction-cache stats."""
     function, instances, configs = gemm_setup
     model = trained_model(instances, "graphsage")
     model.clear_inference_caches()
@@ -204,15 +238,15 @@ def test_cache_stats_surface_every_layer(gemm_setup):
         "edge_cache_hits", "edge_cache_misses", "edge_cache_evictions",
         "edge_cache_entries",
         "batch_cache_hits", "batch_cache_misses", "batch_cache_evictions",
-        "batch_cache_entries", "batch_cache_nodes", "encoded_samples",
+        "batch_cache_entries", "batch_cache_nodes",
     ):
         assert key in stats, key
         assert stats[key] >= 0
     # a batched sweep funnels every union through the scatter/edge caches
-    # and pins one encoded row block per distinct sample
+    # and keeps no per-sample encoding state
     assert stats["scatter_index_misses"] > 0
     assert stats["edge_cache_misses"] > 0
-    assert stats["encoded_samples"] > 0
+    assert "encoded_samples" not in stats
     # the per-worker aggregation view sums counter dicts key-wise
     from repro.core.predictor import QoRPredictor
 

@@ -5,29 +5,46 @@ import pytest
 
 from repro.graph.cdfg import (
     CDFG,
+    FEATURE_COLUMN,
     EdgeKind,
     LoopLevelFeatures,
     NODE_FEATURE_NAMES,
     NodeKind,
 )
 
+from cdfg_queries import memory_ports, nodes_of_kind, nodes_of_optype
+
 
 @pytest.fixture
 def small_graph():
     graph = CDFG("test")
-    a = graph.add_node("load", array="A", features={"lut": 10.0, "invocations": 4.0})
-    b = graph.add_node("mul", features={"dsp": 3.0})
-    c = graph.add_node("store", array="C")
-    port = graph.add_node("ioport", kind=NodeKind.MEMORY_PORT, array="A")
-    graph.add_edge(a.node_id, b.node_id, EdgeKind.DATA)
-    graph.add_edge(b.node_id, c.node_id, EdgeKind.DATA)
-    graph.add_edge(port.node_id, a.node_id, EdgeKind.MEMORY)
+    a = graph.append_node("load", array="A")
+    b = graph.append_node("mul")
+    c = graph.append_node("store", array="C")
+    port = graph.append_node("ioport", kind=NodeKind.MEMORY_PORT, array="A")
+    graph.feat.matrix[a, FEATURE_COLUMN["lut"]] = 10.0
+    graph.feat.matrix[a, FEATURE_COLUMN["invocations"]] = 4.0
+    graph.feat.matrix[b, FEATURE_COLUMN["dsp"]] = 3.0
+    graph.add_edge(a, b, EdgeKind.DATA)
+    graph.add_edge(b, c, EdgeKind.DATA)
+    graph.add_edge(port, a, EdgeKind.MEMORY)
     return graph
 
 
 class TestConstruction:
     def test_node_ids_are_sequential(self, small_graph):
-        assert [node.node_id for node in small_graph.nodes] == [0, 1, 2, 3]
+        graph = CDFG()
+        assert [graph.append_node(op) for op in ("add", "mul", "load")] == [0, 1, 2]
+        # every node column holds one entry per node, in id order
+        assert small_graph.append_node("add") == 4
+        for column in (
+            small_graph.node_kinds, small_graph.node_dtypes,
+            small_graph.node_loop_labels, small_graph.node_arrays,
+            small_graph.node_instr_ids, small_graph.node_replicas,
+            small_graph.optype_codes,
+        ):
+            assert len(column) == 5
+        assert small_graph.feature_matrix().shape[0] == 5
 
     def test_counts(self, small_graph):
         assert small_graph.num_nodes == 4
@@ -35,42 +52,46 @@ class TestConstruction:
 
     def test_self_loops_ignored(self):
         graph = CDFG()
-        node = graph.add_node("add")
-        graph.add_edge(node.node_id, node.node_id)
+        node = graph.append_node("add")
+        graph.add_edge(node, node)
         assert graph.num_edges == 0
 
     def test_edge_bounds_checked(self):
         graph = CDFG()
-        graph.add_node("add")
+        graph.append_node("add")
         with pytest.raises(ValueError):
             graph.add_edge(0, 5)
 
     def test_summary_counts_by_category(self, small_graph):
         summary = small_graph.summary()
+        assert summary["operation_nodes"] == 3
         assert summary["memory_ports"] == 1
+        assert summary["super_nodes"] == 0
         assert summary["data_edges"] == 2
         assert summary["memory_edges"] == 1
+        assert summary["control_edges"] == 0
 
 
 class TestQueries:
     def test_degrees(self, small_graph):
-        assert small_graph.in_degree(1) == 1
-        assert small_graph.out_degree(1) == 1
-        assert small_graph.in_degree(0) == 1  # memory edge from port
+        in_degree, out_degree = small_graph.degree_arrays()
+        assert in_degree[1] == 1
+        assert out_degree[1] == 1
+        assert in_degree[0] == 1  # memory edge from port
 
     def test_degree_arrays_match_scalar_queries(self, small_graph):
         in_degree, out_degree = small_graph.degree_arrays()
-        for node in small_graph.nodes:
-            assert in_degree[node.node_id] == small_graph.in_degree(node.node_id)
-            assert out_degree[node.node_id] == small_graph.out_degree(node.node_id)
+        for node in range(small_graph.num_nodes):
+            assert in_degree[node] == int((small_graph.edge_dst == node).sum())
+            assert out_degree[node] == int((small_graph.edge_src == node).sum())
 
     def test_nodes_of_kind_and_optype(self, small_graph):
-        assert len(small_graph.nodes_of_kind(NodeKind.MEMORY_PORT)) == 1
-        assert len(small_graph.nodes_of_optype("mul")) == 1
+        assert nodes_of_kind(small_graph, NodeKind.MEMORY_PORT) == [3]
+        assert nodes_of_optype(small_graph, "mul") == [1]
 
     def test_memory_port_lookup_by_array(self, small_graph):
-        assert len(small_graph.memory_port_nodes("A")) == 1
-        assert small_graph.memory_port_nodes("B") == []
+        assert memory_ports(small_graph, "A") == [3]
+        assert memory_ports(small_graph, "B") == []
 
     def test_edge_index_shape_and_dtype(self, small_graph):
         edge_index = small_graph.edge_index()
@@ -81,8 +102,12 @@ class TestQueries:
         assert CDFG().edge_index().shape == (2, 0)
 
     def test_edge_kind_codes(self, small_graph):
-        codes = small_graph.edge_kind_codes()
-        assert sorted(codes.tolist()) == [0, 0, 2]
+        # the kind column runs parallel to the endpoint columns
+        assert small_graph.edge_kinds == [
+            EdgeKind.DATA, EdgeKind.DATA, EdgeKind.MEMORY,
+        ]
+        assert small_graph.edge_src.tolist() == [0, 1, 3]
+        assert small_graph.edge_dst.tolist() == [1, 2, 0]
 
 
 class TestReadOnlyViews:
@@ -105,18 +130,21 @@ class TestReadOnlyViews:
             matrix[0, 0] = 1.0
 
     def test_node_feature_writes_still_land(self, small_graph):
-        # mutation goes through the node's feature mapping, which writes the
-        # backing block directly — the frozen view must observe the update
+        # mutation writes the backing block directly — the frozen view must
+        # observe the update
         before = small_graph.feature_matrix()
-        column = NODE_FEATURE_NAMES.index("lut")
-        small_graph.nodes[0].features["lut"] = 77.0
+        column = FEATURE_COLUMN["lut"]
+        small_graph.feat.matrix[0, column] = 77.0
         assert before[0, column] == 77.0
         assert small_graph.feature_matrix()[0, column] == 77.0
 
 
 class TestFeatures:
     def test_feature_vector_order(self, small_graph):
-        vector = small_graph.nodes[0].feature_vector()
+        assert [FEATURE_COLUMN[name] for name in NODE_FEATURE_NAMES] == list(
+            range(len(NODE_FEATURE_NAMES))
+        )
+        vector = small_graph.feature_matrix()[0]
         assert vector.shape == (len(NODE_FEATURE_NAMES),)
         assert vector[NODE_FEATURE_NAMES.index("lut")] == 10.0
         assert vector[NODE_FEATURE_NAMES.index("invocations")] == 4.0
@@ -133,22 +161,5 @@ class TestFeatures:
 
 
 class TestConversions:
-    def test_to_networkx(self, small_graph):
-        nx_graph = small_graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 3
-        assert nx_graph.nodes[1]["optype"] == "mul"
-
-    def test_subgraph_renumbers_nodes(self, small_graph):
-        sub = small_graph.subgraph([1, 2])
-        assert sub.num_nodes == 2
-        assert sub.num_edges == 1
-        assert sub.nodes[0].optype == "mul"
-        assert sub.edges[0].src == 0 and sub.edges[0].dst == 1
-
-    def test_subgraph_drops_external_edges(self, small_graph):
-        sub = small_graph.subgraph([0])
-        assert sub.num_edges == 0
-
     def test_optype_list(self, small_graph):
         assert small_graph.optype_list() == ["load", "mul", "store", "ioport"]

@@ -15,37 +15,47 @@ from repro.graph.construction import (
 )
 from repro.hls.directives import effective_unroll_factors
 
+from cdfg_queries import (
+    edges_of_kind,
+    feature,
+    memory_ports,
+    nodes_of_kind,
+    nodes_of_optype,
+)
+
 
 class TestBaselineGraph:
     def test_every_instruction_becomes_a_node(self, vadd_function):
         graph = build_flat_graph(vadd_function)
-        operation_nodes = graph.nodes_of_kind(NodeKind.OPERATION)
+        operation_nodes = nodes_of_kind(graph, NodeKind.OPERATION)
         # alloca-free kernels map 1:1 (loop header/latch included)
         assert len(operation_nodes) == len(vadd_function.all_instructions())
 
     def test_memory_port_per_array(self, gemm_function):
         graph = build_flat_graph(gemm_function)
-        assert len(graph.memory_port_nodes()) == 3
-        assert len(graph.memory_port_nodes("A")) == 1
+        assert len(memory_ports(graph)) == 3
+        assert len(memory_ports(graph, "A")) == 1
 
     def test_data_edges_follow_def_use(self, vadd_function):
         graph = build_flat_graph(vadd_function)
-        assert graph.nodes_of_optype("add")
+        assert nodes_of_optype(graph, "add")
         assert graph.num_edges > graph.num_nodes  # data + control + memory
 
     def test_load_connected_from_port(self, vadd_function):
         graph = build_flat_graph(vadd_function)
-        load = graph.nodes_of_optype("load")[0]
-        port_ids = {p.node_id for p in graph.memory_port_nodes(load.array)}
-        memory_edges = [e for e in graph.edges if e.kind is EdgeKind.MEMORY
-                        and e.dst == load.node_id]
-        assert memory_edges and memory_edges[0].src in port_ids
+        load = nodes_of_optype(graph, "load")[0]
+        port_ids = set(memory_ports(graph, graph.node_arrays[load]))
+        sources = [
+            src for src, dst in edges_of_kind(graph, EdgeKind.MEMORY) if dst == load
+        ]
+        assert sources and sources[0] in port_ids
 
     def test_store_connected_to_port(self, vadd_function):
         graph = build_flat_graph(vadd_function)
-        store = graph.nodes_of_optype("store")[0]
-        memory_edges = [e for e in graph.edges if e.kind is EdgeKind.MEMORY
-                        and e.src == store.node_id]
+        store = nodes_of_optype(graph, "store")[0]
+        memory_edges = [
+            edge for edge in edges_of_kind(graph, EdgeKind.MEMORY) if edge[0] == store
+        ]
         assert memory_edges
 
     def test_metadata_records_kernel_and_config(self, gemm_function):
@@ -69,30 +79,31 @@ class TestUnrolling:
         config = PragmaConfig.from_dicts(loops={"L0": LoopDirective(unroll_factor=4)})
         unrolled = build_flat_graph(vadd_function, config)
         assert unrolled.num_nodes > baseline.num_nodes
-        assert len(unrolled.nodes_of_optype("store")) == 4
+        assert len(nodes_of_optype(unrolled, "store")) == 4
 
     def test_full_unroll_removes_loop_control(self, vadd_function):
         config = PragmaConfig.from_dicts(loops={"L0": LoopDirective(unroll_factor=32)})
         unrolled = build_flat_graph(vadd_function, config)
-        assert not unrolled.nodes_of_optype("phi")
-        assert len(unrolled.nodes_of_optype("store")) == 32
+        assert not nodes_of_optype(unrolled, "phi")
+        assert len(nodes_of_optype(unrolled, "store")) == 32
 
     def test_partial_unroll_keeps_loop_control(self, vadd_function):
         config = PragmaConfig.from_dicts(loops={"L0": LoopDirective(unroll_factor=4)})
         unrolled = build_flat_graph(vadd_function, config)
-        assert len(unrolled.nodes_of_optype("phi")) == 1
+        assert len(nodes_of_optype(unrolled, "phi")) == 1
 
     def test_replicas_record_their_index(self, vadd_function):
         config = PragmaConfig.from_dicts(loops={"L0": LoopDirective(unroll_factor=2)})
         unrolled = build_flat_graph(vadd_function, config)
-        stores = unrolled.nodes_of_optype("store")
-        assert sorted(node.replica for node in stores) == [0, 1]
+        stores = nodes_of_optype(unrolled, "store")
+        assert sorted(unrolled.node_replicas[node] for node in stores) == [0, 1]
 
     def test_invocations_divided_by_unroll_factor(self, vadd_function):
         config = PragmaConfig.from_dicts(loops={"L0": LoopDirective(unroll_factor=4)})
         unrolled = build_flat_graph(vadd_function, config)
-        store = unrolled.nodes_of_optype("store")[0]
-        assert store.features["invocations"] == 8.0  # 32 iterations / factor 4
+        store = nodes_of_optype(unrolled, "store")[0]
+        # 32 iterations / factor 4
+        assert feature(unrolled, store, "invocations") == 8.0
 
     def test_pipelining_outer_loop_fully_unrolls_inner(self, gemm_function):
         config = PragmaConfig.from_dicts(loops={"L0_0": LoopDirective(pipeline=True)})
@@ -112,15 +123,15 @@ class TestArrayPartitioning:
             arrays={"a": ArrayDirective(PartitionType.CYCLIC, factor=4, dim=1)}
         )
         graph = build_flat_graph(vadd_function, config)
-        assert len(graph.memory_port_nodes("a")) == 4
-        assert len(graph.memory_port_nodes("b")) == 1
+        assert len(memory_ports(graph, "a")) == 4
+        assert len(memory_ports(graph, "b")) == 1
 
     def test_complete_partition_one_port_per_element_capped(self, vadd_function):
         config = PragmaConfig.from_dicts(
             arrays={"a": ArrayDirective(PartitionType.COMPLETE, factor=0, dim=1)}
         )
         graph = build_flat_graph(vadd_function, config)
-        assert len(graph.memory_port_nodes("a")) == 32
+        assert len(memory_ports(graph, "a")) == 32
 
     def test_unrolled_access_connects_to_single_bank(self, vadd_function):
         """With unroll factor == cyclic factor, each replica touches one bank."""
@@ -129,11 +140,14 @@ class TestArrayPartitioning:
             arrays={"a": ArrayDirective(PartitionType.CYCLIC, factor=2, dim=1)},
         )
         graph = build_flat_graph(vadd_function, config)
-        loads_a = [n for n in graph.nodes_of_optype("load") if n.array == "a"]
+        loads_a = [
+            node for node in nodes_of_optype(graph, "load")
+            if graph.node_arrays[node] == "a"
+        ]
         for load in loads_a:
             memory_edges = [
-                e for e in graph.edges
-                if e.kind is EdgeKind.MEMORY and e.dst == load.node_id
+                edge for edge in edges_of_kind(graph, EdgeKind.MEMORY)
+                if edge[1] == load
             ]
             assert len(memory_edges) == 1
 
@@ -143,10 +157,13 @@ class TestArrayPartitioning:
             arrays={"a": ArrayDirective(PartitionType.CYCLIC, factor=4, dim=1)}
         )
         graph = build_flat_graph(vadd_function, config)
-        load_a = [n for n in graph.nodes_of_optype("load") if n.array == "a"][0]
+        load_a = [
+            node for node in nodes_of_optype(graph, "load")
+            if graph.node_arrays[node] == "a"
+        ][0]
         memory_edges = [
-            e for e in graph.edges
-            if e.kind is EdgeKind.MEMORY and e.dst == load_a.node_id
+            edge for edge in edges_of_kind(graph, EdgeKind.MEMORY)
+            if edge[1] == load_a
         ]
         assert len(memory_edges) == 4
 
@@ -158,7 +175,7 @@ class TestArrayPartitioning:
         blind = build_flat_graph(vadd_function, config, pragma_aware=False)
         baseline = build_flat_graph(vadd_function)
         assert blind.num_nodes == baseline.num_nodes
-        assert len(blind.memory_port_nodes("a")) == 1
+        assert len(memory_ports(blind, "a")) == 1
 
 
 class TestSuperNodes:
@@ -167,32 +184,33 @@ class TestSuperNodes:
             gemm_function, PragmaConfig(), condense_loops={"L0_0_0": True}
         )
         graph = builder.build_function_graph()
-        supers = graph.nodes_of_kind(NodeKind.SUPER_NODE)
+        supers = nodes_of_kind(graph, NodeKind.SUPER_NODE)
         assert len(supers) == 1
-        assert supers[0].optype == "super_p"
+        assert graph.optype_list()[supers[0]] == "super_p"
 
     def test_non_pipelined_super_node_optype(self, gemm_function):
         builder = GraphBuilder(
             gemm_function, PragmaConfig(), condense_loops={"L0_0_0": False}
         )
         graph = builder.build_function_graph()
-        assert graph.nodes_of_kind(NodeKind.SUPER_NODE)[0].optype == "super_np"
+        super_node = nodes_of_kind(graph, NodeKind.SUPER_NODE)[0]
+        assert graph.optype_list()[super_node] == "super_np"
 
     def test_super_node_replicated_by_outer_unroll(self, gemm_function):
         config = PragmaConfig.from_dicts(loops={"L0_0": LoopDirective(unroll_factor=4)})
         builder = GraphBuilder(gemm_function, config, condense_loops={"L0_0_0": True})
         graph = builder.build_function_graph()
-        assert len(graph.nodes_of_kind(NodeKind.SUPER_NODE)) == 4
+        assert len(nodes_of_kind(graph, NodeKind.SUPER_NODE)) == 4
 
     def test_super_node_connected_to_memory_ports(self, gemm_function):
         builder = GraphBuilder(
             gemm_function, PragmaConfig(), condense_loops={"L0_0_0": True}
         )
         graph = builder.build_function_graph()
-        super_node = graph.nodes_of_kind(NodeKind.SUPER_NODE)[0]
+        super_node = nodes_of_kind(graph, NodeKind.SUPER_NODE)[0]
         memory_edges = [
-            e for e in graph.edges
-            if e.kind is EdgeKind.MEMORY and super_node.node_id in (e.src, e.dst)
+            edge for edge in edges_of_kind(graph, EdgeKind.MEMORY)
+            if super_node in edge
         ]
         assert memory_edges
 
@@ -209,7 +227,7 @@ class TestLoopSubgraph:
     def test_subgraph_contains_only_touched_arrays(self, gemm_function):
         loop = gemm_function.loop_by_label("L0_0_0")
         graph = build_loop_subgraph(gemm_function, loop)
-        arrays = {node.array for node in graph.memory_port_nodes()}
+        arrays = {graph.node_arrays[node] for node in memory_ports(graph)}
         assert arrays == {"A", "B"}
 
     def test_subgraph_smaller_than_function_graph(self, gemm_function):
@@ -232,13 +250,13 @@ class TestDegreeFeatures:
     def test_degree_features_annotated(self, gemm_function):
         graph = build_flat_graph(gemm_function)
         in_degree, out_degree = graph.degree_arrays()
-        for node in graph.nodes:
-            assert node.features["in_degree"] == in_degree[node.node_id]
-            assert node.features["out_degree"] == out_degree[node.node_id]
+        for node in range(graph.num_nodes):
+            assert feature(graph, node, "in_degree") == in_degree[node]
+            assert feature(graph, node, "out_degree") == out_degree[node]
 
     def test_op_characterization_features_annotated(self, gemm_function):
         graph = build_flat_graph(gemm_function)
-        mul = graph.nodes_of_optype("mul")[0]
-        assert mul.features["dsp"] > 0
-        icmp = graph.nodes_of_optype("icmp")[0]
-        assert icmp.features["dsp"] == 0
+        mul = nodes_of_optype(graph, "mul")[0]
+        assert feature(graph, mul, "dsp") > 0
+        icmp = nodes_of_optype(graph, "icmp")[0]
+        assert feature(graph, icmp, "dsp") == 0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.dse.space import sample_design_space
 from repro.graph.cache import GraphConstructionCache
+from repro.graph.cdfg import FEATURE_COLUMN
 from repro.graph.hierarchy import decompose, decomposition_signature
 
 
@@ -67,13 +68,10 @@ class TestGraphConstructionCache:
         cache = GraphConstructionCache()
         first = decompose(function, configs[0], cache=cache)
         # mutate the handed-out graph the way hierarchical inference does
-        for node in first.outer_graph.nodes:
-            node.features["cycles"] = 1e9
+        cycles = FEATURE_COLUMN["cycles"]
+        first.outer_graph.feat.matrix[: first.outer_graph.num_nodes, cycles] = 1e9
         second = decompose(function, configs[0], cache=cache)
-        assert all(
-            node.features.get("cycles", 0.0) != 1e9
-            for node in second.outer_graph.nodes
-        )
+        assert (second.outer_graph.feature_matrix()[:, cycles] != 1e9).all()
 
     def test_equal_signatures_mean_equal_graphs(self, gemm_space):
         function, configs = gemm_space

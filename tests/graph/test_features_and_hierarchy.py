@@ -16,6 +16,8 @@ from repro.graph import (
 from repro.ir import lower_source
 from repro.kernels import load_kernel
 
+from cdfg_queries import feature, nodes_of_kind
+
 
 class TestLoopLevelFeatures:
     def test_ii_one_for_simple_pipelined_loop(self, vadd_function, vadd_pipeline_config):
@@ -76,10 +78,12 @@ class TestSuperNodeAnnotation:
             decomposition.outer_graph, node_ids[0],
             latency=1234.0, lut=56.0, ff=78.0, dsp=9.0, iteration_latency=10.0,
         )
-        node = decomposition.outer_graph.nodes[node_ids[0]]
-        assert node.features["cycles"] == 1234.0
-        assert node.features["lut"] == 56.0
-        assert node.features["work"] == 1234.0 * node.features["invocations"]
+        graph, node = decomposition.outer_graph, node_ids[0]
+        assert feature(graph, node, "cycles") == 1234.0
+        assert feature(graph, node, "lut") == 56.0
+        assert feature(graph, node, "work") == 1234.0 * feature(
+            graph, node, "invocations"
+        )
 
 
 class TestInnerUnitClassification:
@@ -155,9 +159,10 @@ class TestDecomposition:
             instr.instr_id
             for instr in gemm_function.loop_by_label("L0_0_0").body.walk_instructions()
         }
+        graph = decomposition.outer_graph
         outer_instr_ids = {
-            node.instr_id for node in decomposition.outer_graph.nodes
-            if node.kind is NodeKind.OPERATION
+            graph.node_instr_ids[node]
+            for node in nodes_of_kind(graph, NodeKind.OPERATION)
         }
         assert not (inner_instr_ids & outer_instr_ids)
 

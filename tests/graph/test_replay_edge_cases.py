@@ -121,9 +121,7 @@ class TestReplicationClamping:
         )
         assert_graphs_identical(naive, replayed, f"cap={max_replication}")
         # the cap really bit: no loop produced more replicas than allowed
-        replicas = {
-            (node.loop_label, node.replica) for node in replayed.nodes
-        }
+        replicas = set(zip(replayed.node_loop_labels, replayed.node_replicas))
         assert all(replica < max_replication for _, replica in replicas)
 
     def test_tripcount_clamps_oversized_factor(self):

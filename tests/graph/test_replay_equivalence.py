@@ -37,12 +37,14 @@ def assert_graphs_identical(naive, replayed, context=""):
     """Exact node-level equality + canonical edge-multiset equality."""
     assert replayed.num_nodes == naive.num_nodes, context
     assert replayed.num_edges == naive.num_edges, context
-    for attribute in ("optype", "dtype", "kind", "loop_label", "array",
-                      "instr_id", "replica"):
-        assert (
-            [getattr(node, attribute) for node in replayed.nodes]
-            == [getattr(node, attribute) for node in naive.nodes]
-        ), f"{context}: node {attribute} mismatch"
+    assert replayed.optype_list() == naive.optype_list(), (
+        f"{context}: node optype mismatch"
+    )
+    for column in ("node_dtypes", "node_kinds", "node_loop_labels",
+                   "node_arrays", "node_instr_ids", "node_replicas"):
+        assert getattr(replayed, column) == getattr(naive, column), (
+            f"{context}: {column} mismatch"
+        )
     np.testing.assert_array_equal(
         replayed.feature_matrix(), naive.feature_matrix(),
         err_msg=f"{context}: feature matrix mismatch",

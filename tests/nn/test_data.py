@@ -15,7 +15,7 @@ from repro.nn.data import (
     train_validation_test_split,
 )
 
-from reference import batch_dense_x
+from reference import batch_dense_x, encode
 
 
 def make_sample(num_nodes=4, num_features=3, target=10.0, seed=0):
@@ -34,6 +34,12 @@ def make_sample(num_nodes=4, num_features=3, target=10.0, seed=0):
     )
 
 
+def fitted(samples):
+    """Encoder and feature scaler fitted on ``samples``."""
+    encoder = OptypeEncoder().fit([s.optypes for s in samples])
+    return encoder, FeatureScaler().fit([s.features for s in samples])
+
+
 class TestOptypeEncoder:
     def test_fit_builds_vocabulary(self):
         encoder = OptypeEncoder().fit([["add", "mul"], ["add", "load"]])
@@ -41,14 +47,14 @@ class TestOptypeEncoder:
 
     def test_encode_one_hot_rows(self):
         encoder = OptypeEncoder().fit([["add", "mul"]])
-        matrix = encoder.encode(["mul", "add"])
+        matrix = encode(encoder, ["mul", "add"])
         assert matrix.shape == (2, 3)
         assert matrix.sum() == 2.0
         assert (matrix.sum(axis=1) == 1.0).all()
 
     def test_unknown_optype_maps_to_unk(self):
         encoder = OptypeEncoder().fit([["add"]])
-        matrix = encoder.encode(["never_seen"])
+        matrix = encode(encoder, ["never_seen"])
         unk_column = encoder.vocabulary.index(OptypeEncoder.UNKNOWN)
         assert matrix[0, unk_column] == 1.0
 
@@ -58,7 +64,7 @@ class TestOptypeEncoder:
 
     def test_empty_input(self):
         encoder = OptypeEncoder().fit([["add"]])
-        assert encoder.encode([]).shape == (0, encoder.dim)
+        assert encode(encoder, []).shape == (0, encoder.dim)
 
 
 class TestScalers:
@@ -99,8 +105,7 @@ class TestScalers:
 class TestBatching:
     def test_batch_offsets_edge_indices(self):
         samples = [make_sample(seed=0), make_sample(seed=1)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
-        batch = make_batch(samples, encoder, target_names=("lut",))
+        batch = make_batch(samples, *fitted(samples), target_names=("lut",))
         assert batch.num_graphs == 2
         assert batch.num_nodes == 8
         assert batch.edge_index.max() == 7
@@ -108,15 +113,16 @@ class TestBatching:
 
     def test_batch_targets_stacked(self):
         samples = [make_sample(target=5.0), make_sample(target=7.0)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
-        batch = make_batch(samples, encoder, target_names=("lut", "latency"))
+        batch = make_batch(
+            samples, *fitted(samples), target_names=("lut", "latency")
+        )
         assert np.allclose(batch.targets["lut"], [5.0, 7.0])
         assert np.allclose(batch.targets["latency"], [10.0, 14.0])
 
     def test_batch_carries_codes_and_numeric_columns(self):
         samples = [make_sample()]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
-        batch = make_batch(samples, encoder)
+        encoder, scaler = fitted(samples)
+        batch = make_batch(samples, encoder, scaler)
         # the one-hot block is elided: x holds only the numeric columns and
         # the codes + onehot_dim describe the block the model reconstructs
         # from its own first-layer weights
@@ -127,23 +133,12 @@ class TestBatching:
 
     def test_feature_totals_shape(self):
         samples = [make_sample(), make_sample(seed=3)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
-        batch = make_batch(samples, encoder)
+        batch = make_batch(samples, *fitted(samples))
         assert batch.feature_totals.shape == (2, 3)
-
-    def test_encoded_cache_reused(self):
-        sample = make_sample()
-        encoder = OptypeEncoder().fit([sample.optypes])
-        cache = {}
-        first = make_batch([sample], encoder, encoded_cache=cache)
-        second = make_batch([sample], encoder, encoded_cache=cache)
-        assert np.allclose(first.x, second.x)
-        assert len(cache) == 1
 
     def test_loop_features_stacked(self):
         samples = [make_sample(), make_sample()]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
-        batch = make_batch(samples, encoder)
+        batch = make_batch(samples, *fitted(samples))
         assert batch.loop_features.shape == (2, 5)
 
 

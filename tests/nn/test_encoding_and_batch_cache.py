@@ -2,17 +2,23 @@
 
 The vectorized union encoder (:func:`repro.nn.data.make_batch`) must produce
 **bit-identical** batches to the per-sample reference encoder
-(``tests/reference/encoding.py``) for every
-registered kernel's graphs and for the degenerate shapes (empty graph,
-single node, unknown optypes, zero-width features).  The epoch-level
-:class:`~repro.nn.data.BatchCache` must replay identical groupings, miss
-cleanly on any regrouping or reordering, and stay within its bounds.
+(``tests/reference/encoding.py``) for every registered kernel's graphs, for
+code-less samples that intern their own optype column, and for the
+degenerate shapes (empty graph, single node, unknown optypes, zero-width
+features).  The epoch-level :class:`~repro.nn.data.BatchCache` must replay
+identical groupings, miss cleanly on any regrouping or reordering, and stay
+within its bounds; inference must not keep scored samples alive.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.frontend.pragmas import PragmaConfig
 from repro.core.dataset import graph_to_sample
@@ -54,6 +60,15 @@ def synthetic_sample(
     )
 
 
+def fitted(samples):
+    """Encoder and feature scaler fitted on ``samples``."""
+    encoder = OptypeEncoder().fit([s.optypes for s in samples])
+    scaler = FeatureScaler().fit(
+        [s.features for s in samples if s.features.size]
+    )
+    return encoder, scaler
+
+
 def assert_batches_identical(reference, vectorized):
     # the vectorized union elides the one-hot block (optype codes + numeric
     # columns); materializing it must reproduce the reference matrix bit
@@ -83,19 +98,12 @@ def assert_batches_identical(reference, vectorized):
 
 
 class TestVectorizedEncoderDifferential:
-    def fitted(self, samples):
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
-        scaler = FeatureScaler().fit(
-            [s.features for s in samples if s.features.size]
-        )
-        return encoder, scaler
-
     def test_every_registered_kernel_encodes_identically(self):
         samples = [
             graph_to_sample(build_flat_graph(load_kernel(name), PragmaConfig()))
             for name in sorted(KERNEL_SOURCES)
         ]
-        encoder, scaler = self.fitted(samples)
+        encoder, scaler = fitted(samples)
         reference = make_batch_reference(samples, encoder, scaler, ("lut",))
         vectorized = make_batch(samples, encoder, scaler, ("lut",))
         assert_batches_identical(reference, vectorized)
@@ -113,7 +121,7 @@ class TestVectorizedEncoderDifferential:
                 edge_index=np.zeros((2, 0), dtype=np.int64),
             ),
         ]
-        encoder, scaler = self.fitted(samples[1:3])  # exotic_op stays unknown
+        encoder, scaler = fitted(samples[1:3])  # exotic_op stays unknown
         reference = make_batch_reference(samples, encoder, scaler)
         vectorized = make_batch(samples, encoder, scaler)
         assert_batches_identical(reference, vectorized)
@@ -123,8 +131,10 @@ class TestVectorizedEncoderDifferential:
 
     def test_empty_batch_and_zero_width_features(self):
         encoder = OptypeEncoder().fit([["add"]])
+        scaler = FeatureScaler().fit([np.ones((2, 3))])
         assert_batches_identical(
-            make_batch_reference([], encoder), make_batch([], encoder)
+            make_batch_reference([], encoder, scaler),
+            make_batch([], encoder, scaler),
         )
         narrow = [
             GraphSample(
@@ -133,48 +143,83 @@ class TestVectorizedEncoderDifferential:
             )
         ]
         assert_batches_identical(
-            make_batch_reference(narrow, encoder), make_batch(narrow, encoder)
+            make_batch_reference(narrow, encoder, scaler),
+            make_batch(narrow, encoder, scaler),
         )
 
     def test_scaler_variants_match(self):
+        """The fused in-place scaling matches the reference transform for
+        scalers with different statistics: fitted on the batch itself, on a
+        subset (values outside the fitted range) and on constant columns
+        (standard deviation clamped to 1e-6)."""
         samples = [synthetic_sample(n, seed=n) for n in (3, 9, 5)]
-        encoder, _ = self.fitted(samples)
-        no_compress = FeatureScaler(log_compress=False).fit(
-            [s.features for s in samples]
+        encoder, own = fitted(samples)
+        subset = FeatureScaler().fit([samples[0].features])
+        constant = FeatureScaler().fit(
+            [np.full_like(s.features, 7.0) for s in samples]
         )
-        for scaler in (None, no_compress):
+        assert (constant.std_ == 1e-6).all()
+        for scaler in (own, subset, constant):
             assert_batches_identical(
                 make_batch_reference(samples, encoder, scaler),
                 make_batch(samples, encoder, scaler),
             )
 
-    def test_mixed_encoded_cache_hits_match(self):
-        samples = [synthetic_sample(n, seed=10 + n) for n in (4, 8, 2, 6)]
-        encoder, scaler = self.fitted(samples)
-        reference_cache: dict = {}
-        vectorized_cache: dict = {}
-        make_batch_reference(samples[:2], encoder, scaler, (), reference_cache)
-        make_batch(samples[:2], encoder, scaler, (), vectorized_cache)
-        assert_batches_identical(
-            make_batch_reference(samples, encoder, scaler, (), reference_cache),
-            make_batch(samples, encoder, scaler, (), vectorized_cache),
-        )
-
     def test_optype_code_memo_shared_lists(self):
-        shared = ["add", "mul", "add"]
+        """Samples sharing one graph's optype table translate it once."""
+        table = ["add", "mul"]
         a = GraphSample(
-            optypes=shared, features=np.ones((3, 2)),
+            optypes=["add", "mul", "add"], features=np.ones((3, 2)),
             edge_index=np.zeros((2, 0), dtype=np.int64),
+            graph_codes=np.array([0, 1, 0]), graph_table=table,
         )
         b = GraphSample(
-            optypes=shared, features=2.0 * np.ones((3, 2)),
+            optypes=["mul", "mul", "add"], features=2.0 * np.ones((3, 2)),
             edge_index=np.zeros((2, 0), dtype=np.int64),
+            graph_codes=np.array([1, 1, 0]), graph_table=table,
         )
-        encoder = OptypeEncoder().fit([shared])
-        first = encoder.encode_indices(a.optypes)
-        second = encoder.encode_indices(b.optypes)
-        assert first is second  # memoized per shared list object
+        encoder = OptypeEncoder().fit([table])
+        first = encoder.encode_sample_indices(a)
+        second = encoder.encode_sample_indices(b)
+        assert len(encoder._table_memo) == 1  # one translation, shared
         assert (first == np.array([0, 1, 0])).all()
+        assert (second == np.array([1, 1, 0])).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        optype_lists=st.lists(
+            st.lists(st.sampled_from(["add", "mul", "load", "phi", "odd_op"]),
+                     max_size=12),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_codeless_samples_intern_and_encode_like_reference(
+        self, optype_lists, seed
+    ):
+        """A sample built without codes interns its own optype column and
+        encodes bit-identically to the reference encoder."""
+        rng = np.random.default_rng(seed)
+        samples = []
+        for optypes in optype_lists:
+            sample = GraphSample(
+                optypes=list(optypes),
+                features=rng.uniform(-5.0, 60.0, (len(optypes), 3)),
+                edge_index=np.zeros((2, 0), dtype=np.int64),
+            )
+            assert sample.graph_codes.dtype == np.int64
+            assert len(set(sample.graph_table)) == len(sample.graph_table)
+            assert [
+                sample.graph_table[code] for code in sample.graph_codes
+            ] == list(optypes)
+            samples.append(sample)
+        # the vocabulary leaves some drawn optypes unknown
+        encoder = OptypeEncoder().fit([["add", "mul", "load"]])
+        scaler = FeatureScaler().fit([rng.uniform(0.0, 50.0, (6, 3))])
+        assert_batches_identical(
+            make_batch_reference(samples, encoder, scaler),
+            make_batch(samples, encoder, scaler),
+        )
 
 
 class TestScatterIndexCache:
@@ -191,16 +236,13 @@ class TestScatterIndexCache:
 
 
 class TestBatchCache:
-    def batches(self, groups, encoder, scaler):
-        return [make_batch(group, encoder, scaler) for group in groups]
-
     def test_hit_miss_and_stats(self):
         samples = [synthetic_sample(4, seed=i) for i in range(6)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
+        encoder, scaler = fitted(samples)
         cache = BatchCache()
         group = samples[:3]
         assert cache.get(group) is None
-        batch = make_batch(group, encoder)
+        batch = make_batch(group, encoder, scaler)
         cache.put(group, batch)
         assert cache.get(group) is batch
         assert cache.get(list(group)) is batch  # list identity is irrelevant
@@ -211,9 +253,9 @@ class TestBatchCache:
 
     def test_regrouping_and_reordering_miss_cleanly(self):
         samples = [synthetic_sample(4, seed=i) for i in range(4)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
+        encoder, scaler = fitted(samples)
         cache = BatchCache()
-        cache.put(samples[:2], make_batch(samples[:2], encoder))
+        cache.put(samples[:2], make_batch(samples[:2], encoder, scaler))
         assert cache.get([samples[0], samples[2]]) is None  # regrouped
         assert cache.get(samples[:2][::-1]) is None          # reordered
         assert cache.get(samples[:3]) is None                # grown
@@ -223,11 +265,11 @@ class TestBatchCache:
 
     def test_entry_bound_evicts_lru(self):
         samples = [synthetic_sample(3, seed=i) for i in range(6)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
+        encoder, scaler = fitted(samples)
         cache = BatchCache(max_entries=2)
         groups = [samples[0:2], samples[2:4], samples[4:6]]
         for group in groups:
-            cache.put(group, make_batch(group, encoder))
+            cache.put(group, make_batch(group, encoder, scaler))
         assert len(cache) == 2
         assert cache.evictions == 1
         assert cache.get(groups[0]) is None       # oldest was evicted
@@ -235,19 +277,19 @@ class TestBatchCache:
 
     def test_node_bound_evicts(self):
         samples = [synthetic_sample(10, seed=i) for i in range(4)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
+        encoder, scaler = fitted(samples)
         cache = BatchCache(max_entries=10, max_cached_nodes=25)
         for index in range(4):
             group = [samples[index]]
-            cache.put(group, make_batch(group, encoder))
+            cache.put(group, make_batch(group, encoder, scaler))
         assert cache.stats()["batch_cache_nodes"] <= 25
         assert cache.evictions >= 1
 
     def test_clear_resets(self):
         samples = [synthetic_sample(2, seed=0)]
-        encoder = OptypeEncoder().fit([s.optypes for s in samples])
+        encoder, scaler = fitted(samples)
         cache = BatchCache()
-        cache.put(samples, make_batch(samples, encoder))
+        cache.put(samples, make_batch(samples, encoder, scaler))
         cache.get(samples)
         cache.clear()
         assert len(cache) == 0
@@ -294,3 +336,15 @@ class TestTrainerEpochCaching:
             reordered.targets["lut"]
             == np.array([samples[1].targets["lut"], samples[0].targets["lut"]])
         ).all()
+
+    def test_scored_sample_is_collectable(self):
+        """Budgeted inference keeps no reference to the samples it scored,
+        so a long-lived service does not pin one sample per design."""
+        samples = [synthetic_sample(5, seed=i) for i in range(8)]
+        trainer, _ = self.trained(samples, epochs=1)
+        fresh = synthetic_sample(6, seed=99)
+        alive = weakref.ref(fresh)
+        trainer.predict([fresh], max_batch_nodes=1000)
+        del fresh
+        gc.collect()
+        assert alive() is None

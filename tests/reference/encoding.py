@@ -2,10 +2,11 @@
 
 :func:`make_batch_reference` is how graph samples were encoded before the
 vectorized :func:`repro.nn.data.make_batch`: one sample at a time, a dense
-one-hot optype block concatenated with the scaled numeric features,
-list-append concatenation.  Differential tests compare the production
-encoder against it, and :func:`batch_dense_x` rebuilds the dense matrix a
-production :class:`~repro.nn.data.Batch` elides.
+one-hot optype block (:func:`encode`, built from the encoder's vocabulary
+list alone) concatenated with the scaled numeric features, list-append
+concatenation.  Differential tests compare the production encoder against
+it, and :func:`batch_dense_x` rebuilds the dense matrix a production
+:class:`~repro.nn.data.Batch` elides.
 """
 
 from __future__ import annotations
@@ -51,6 +52,21 @@ def batch_dense_x(batch: Batch) -> np.ndarray:
     return dense
 
 
+def encode(encoder: OptypeEncoder, optypes: list[str]) -> np.ndarray:
+    """Dense one-hot rows of ``optypes`` over ``encoder.vocabulary``.
+
+    Column ``j`` is vocabulary entry ``j``; optypes outside the vocabulary
+    set the ``<unk>`` column.
+    """
+    vocabulary = encoder.vocabulary
+    column = {optype: index for index, optype in enumerate(vocabulary)}
+    unknown = column[OptypeEncoder.UNKNOWN]
+    matrix = np.zeros((len(optypes), len(vocabulary)), dtype=np.float64)
+    for row, optype in enumerate(optypes):
+        matrix[row, column.get(optype, unknown)] = 1.0
+    return matrix
+
+
 def _sample_totals(sample: GraphSample) -> np.ndarray:
     """``log1p`` of the column-wise sum of the raw clamped features."""
     if not sample.features.size:
@@ -61,16 +77,10 @@ def _sample_totals(sample: GraphSample) -> np.ndarray:
 def make_batch_reference(
     samples: list[GraphSample],
     encoder: OptypeEncoder,
-    feature_scaler: FeatureScaler | None = None,
+    feature_scaler: FeatureScaler,
     target_names: tuple[str, ...] = (),
-    encoded_cache: dict | None = None,
 ) -> DenseBatch:
-    """Encode ``samples`` one at a time into a dense disjoint union.
-
-    ``encoded_cache`` (keyed by ``id(sample)``) holds ``(sample, dense rows,
-    totals)`` triples; entries of any other shape (the production encoder's
-    4-tuples) are re-encoded.
-    """
+    """Encode ``samples`` one at a time into a dense disjoint union."""
     xs: list[np.ndarray] = []
     edges: list[np.ndarray] = []
     batch_vector: list[np.ndarray] = []
@@ -78,23 +88,9 @@ def make_batch_reference(
     totals: list[np.ndarray] = []
     offset = 0
     for graph_id, sample in enumerate(samples):
-        entry = None if encoded_cache is None else encoded_cache.get(id(sample))
-        cached = (
-            entry[1]
-            if entry is not None and len(entry) == 3 and entry[0] is sample
-            else None
-        )
-        sample_totals = _sample_totals(sample)
-        if cached is None:
-            numeric = sample.features
-            if feature_scaler is not None:
-                numeric = feature_scaler.transform(numeric)
-            encoded = encoder.encode(sample.optypes)
-            cached = np.concatenate([encoded, numeric], axis=1)
-            if encoded_cache is not None:
-                encoded_cache[id(sample)] = (sample, cached, sample_totals)
-        xs.append(cached)
-        totals.append(sample_totals)
+        numeric = feature_scaler.transform(sample.features)
+        xs.append(np.concatenate([encode(encoder, sample.optypes), numeric], axis=1))
+        totals.append(_sample_totals(sample))
         if sample.num_edges:
             edges.append(sample.edge_index + offset)
         batch_vector.append(np.full(sample.num_nodes, graph_id, dtype=np.int64))

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +188,17 @@ class TestInterrupts:
         monkeypatch.setattr(cli_module, "cmd_dse", interrupted)
         assert main(["dse", "--kernel", "fir"]) == 130
         assert "interrupted" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_networkx_unloaded(self):
+        """The program reads CDFGs through their columns only, so importing
+        the CLI (and with it every subsystem) must not pull in networkx."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('networkx' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert child.stdout.strip() == "False"
