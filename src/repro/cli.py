@@ -307,8 +307,12 @@ async def _serve_main(args: argparse.Namespace) -> int:
     import signal
 
     from repro.core.predictor import QoRPredictor
+    from repro.nn.autograd import blas_threads
     from repro.serve import QoRServer
 
+    # one inference thread beside the event loop: a BLAS pool thread would
+    # only spin on the core the event loop needs
+    blas_threads(1)
     predictor = QoRPredictor.load(
         args.model, warm_caches=args.warm_cache, precision=args.precision
     )

@@ -9,7 +9,9 @@ worker **processes** with one engine:
    coordinator (:class:`ShardedExplorer`) cuts every shard into
    ``chunk_size`` chunks — the sweep's canonical **chunk layout**;
 2. worker processes run :func:`shard_worker` (a module-level — hence
-   spawn-safe — entrypoint): each bootstraps its *own*
+   spawn-safe — entrypoint): each sets its BLAS pool to one thread (the
+   fleet parallelizes by process; a pool thread per worker would only
+   compete with the other workers for the cores), bootstraps its *own*
    :class:`~repro.core.predictor.QoRPredictor` from a saved model file,
    re-lowers the kernel source, and drains chunks from a task queue through
    ``predict_batch``, streaming ``(config_id, prediction)`` pairs back.
@@ -44,7 +46,9 @@ restores the exhaustive sweep.
   in the same canonical order, to one front fed every prediction directly;
 * the *predictions* agree with the single-process batched engine to within
   1e-9 relative (typically bit-exact).  Workers load the same weights and
-  run the same deterministic numpy arithmetic; the residual last-ulp
+  run the same deterministic numpy arithmetic — at one BLAS thread, where
+  the coordinator keeps the host's pool size, which no inference bit
+  depends on (``tests/nn/test_blas_threads.py``).  The residual last-ulp
   variation comes from BLAS choosing different (equally correct) kernels
   for different disjoint-union sizes.  The degenerate single-row /
   single-column dispatch — by far the largest such effect — is removed at
@@ -144,6 +148,7 @@ from repro.flags import normalize_precision
 from repro.graph.cache import GraphConstructionCache
 from repro.graph.hierarchy import decomposition_signature
 from repro.ir.builder import lower_source
+from repro.nn.autograd import blas_threads
 from repro.testing.faults import FaultPlan, InjectedFault, WorkerFault
 
 #: the shard strategies understood by :func:`partition_space`
@@ -358,17 +363,27 @@ def shard_worker(
     building (the ``outer_templates`` counter in the streamed cache stats
     shows how many deltas each worker captured).
 
+    The worker runs on one BLAS thread
+    (:func:`~repro.nn.autograd.blas_threads`, set before the model loads);
+    inference bits do not depend on the pool size, so a chunk it scores has
+    the bits the coordinator's recovery would compute at the host's size.
+
     Messages on ``results`` (the only call made on it is ``put``):
     ``("results", worker_id, [(config_id, metrics), ...])`` per chunk, with
     ``write_back`` one ``("caches", worker_id, delta)`` carrying the
     bounded newly-warmed-cache delta, then ``("done", worker_id,
-    cache_stats)``; on an internal error, ``("error", worker_id,
-    traceback_text)`` and a non-zero exit.  ``fault`` is the injection
-    hook (:class:`~repro.testing.faults.WorkerFault`), consulted between
-    chunks with chunk indices counted in pull order (kill / stall / drop —
-    a kill is ``os._exit``, nothing flushed, exactly like a real crash).
+    cache_stats)`` — the predictor's counters plus the worker's
+    ``blas_threads`` pool size where OpenBLAS is loaded; on an internal
+    error, ``("error", worker_id, traceback_text)`` and a non-zero exit.
+    ``fault`` is the injection hook
+    (:class:`~repro.testing.faults.WorkerFault`), consulted between chunks
+    with chunk indices counted in pull order (kill / stall / drop — a kill
+    is ``os._exit``, nothing flushed, exactly like a real crash).
     """
     try:
+        # the fleet parallelizes by process: a second BLAS pool thread per
+        # worker only competes with the other workers for the cores
+        blas_threads(1)
         predictor = QoRPredictor.load(
             model_path, warm_caches=warm_caches, precision=precision
         )
@@ -406,7 +421,10 @@ def shard_worker(
             chunk = following
         if write_back:
             results.put(("caches", worker_id, _bounded_warm_delta(predictor)))
-        results.put(("done", worker_id, predictor.cache_stats()))
+        stats = predictor.cache_stats()
+        if (threads := blas_threads()) is not None:
+            stats["blas_threads"] = threads
+        results.put(("done", worker_id, stats))
     except BaseException:
         results.put(("error", worker_id, traceback.format_exc()))
         raise
@@ -438,7 +456,8 @@ class ShardReport:
     completed: int
     #: configurations re-scored by the coordinator after a worker failure
     recovered: int = 0
-    #: the worker's final cache counters (empty if it died before reporting)
+    #: the worker's final cache counters and ``blas_threads`` pool size
+    #: (empty if it died before reporting)
     cache_stats: dict = field(default_factory=dict)
     #: True when the worker exited without a completion message
     failed: bool = False
@@ -469,7 +488,8 @@ class ShardedDSEResult:
     shards: list[ShardReport] = field(default_factory=list)
     #: configurations recovered in-process after worker failures
     recovered_configs: int = 0
-    #: per-worker cache counters summed fleet-wide
+    #: per-worker cache counters summed fleet-wide (``blas_threads`` then
+    #: counts the BLAS threads of all workers together)
     cache_stats: dict = field(default_factory=dict)
     #: multiprocessing start method the sweep actually used
     mp_context: str = ""

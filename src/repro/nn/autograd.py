@@ -23,6 +23,7 @@ Design notes
 
 from __future__ import annotations
 
+import ctypes
 import weakref
 from collections import OrderedDict
 from typing import Callable, Iterable
@@ -368,6 +369,56 @@ def _stable_matmul(a: Array, b: Array) -> Array:
     if pad_n:
         out = out[:, :1]
     return out
+
+
+#: thread-count entry points of the OpenBLAS builds numpy and scipy ship
+#: (``%s`` is ``get`` or ``set``; numpy 2's ILP64 build exports
+#: ``scipy_openblas_set_num_threads64_``)
+_OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                            "openblas_%s_num_threads64_", "openblas_%s_num_threads")
+
+
+def blas_threads(count: int | None = None) -> int | None:
+    """OpenBLAS's thread-pool size in this process, after setting it to ``count``.
+
+    Every OpenBLAS library mapped into the process (``/proc/self/maps``) is
+    driven through ctypes, so this adds no dependency; with several loaded,
+    the largest pool is returned.  Returns ``None``, and sets nothing, where
+    no OpenBLAS is loaded.  The pool size is process-wide.  Inference outputs
+    are bit-identical at pool size 1 and at the host default
+    (``tests/nn/test_blas_threads.py`` pins it per conv type and precision
+    tier), but float64 *training* bits are not, so only the processes the
+    program starts for inference alone — fleet workers and the
+    ``repro-qor serve`` daemon — set it, to 1.  The count 1 is written to
+    OpenBLAS's exported ``blas_cpu_number`` rather than passed to the
+    setter: in a forked child (whose pool the fork shut down) the setter
+    first starts a pool thread, which spin-waits ~0.1 s of CPU before it
+    parks, and a fleet's workers would take that CPU from each other.  A
+    larger count goes through the setter, which starts the pool again.
+    """
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line}
+    except OSError:
+        return None
+    sizes = []
+    # a library replaced on disk maps as "... libopenblas.so (deleted)"
+    for path in (path for path in paths if ".so" in path):
+        library = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(library, symbol % "get"):
+                get, put = getattr(library, symbol % "get"), getattr(library, symbol % "set")
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                if count == 1 and hasattr(library, "blas_cpu_number"):
+                    # one thread needs no pool, and the setter would start
+                    # one in a forked child, spinning ~0.1 s of CPU
+                    ctypes.c_int.in_dll(library, "blas_cpu_number").value = 1
+                elif count is not None:
+                    put(count)
+                sizes.append(get())
+                break
+    return max(sizes, default=None)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -988,4 +1039,5 @@ __all__ = [
     "segment_softmax", "stack_rows", "gather_scatter_sum", "linear",
     "linear_sum", "relu_add", "embedding_linear", "SCATTER_INDEX_CACHE",
     "precision", "active_precision", "active_dtype", "PRECISION_DTYPES",
+    "blas_threads",
 ]

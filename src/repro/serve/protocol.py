@@ -114,9 +114,28 @@ def _integral(value) -> int:
     return int(value)
 
 
+#: the keys each object of the dict form may carry (``unroll_factor`` is an
+#: accepted alias of ``unroll``); anything else is a typo that would
+#: otherwise score the baseline design silently
+_CONFIG_KEYS = frozenset({"loops", "arrays"})
+_LOOP_KEYS = frozenset({"pipeline", "ii", "unroll", "unroll_factor", "flatten"})
+_ARRAY_KEYS = frozenset({"type", "factor", "dim"})
+
+
+def _reject_unknown_keys(payload: dict, allowed: frozenset, what: str) -> None:
+    """Raise :class:`ProtocolError` naming the first key outside ``allowed``."""
+    unknown = sorted(str(key) for key in payload if key not in allowed)
+    if unknown:
+        raise ProtocolError(
+            f"unknown {what} key {unknown[0]!r} "
+            f"(expected one of {', '.join(sorted(allowed))})"
+        )
+
+
 def _loop_from_spec(spec: dict) -> LoopDirective:
     if not isinstance(spec, dict):
         raise ProtocolError(f"loop directive must be an object, got {spec!r}")
+    _reject_unknown_keys(spec, _LOOP_KEYS, "loop directive")
     try:
         return LoopDirective(
             pipeline=bool(spec.get("pipeline", False)),
@@ -131,6 +150,7 @@ def _loop_from_spec(spec: dict) -> LoopDirective:
 def _array_from_spec(spec: dict) -> ArrayDirective:
     if not isinstance(spec, dict):
         raise ProtocolError(f"array directive must be an object, got {spec!r}")
+    _reject_unknown_keys(spec, _ARRAY_KEYS, "array directive")
     try:
         return ArrayDirective(
             partition_type=PartitionType(str(spec.get("type", "cyclic")).lower()),
@@ -148,7 +168,8 @@ def config_from_payload(payload) -> PragmaConfig:
     the CLI's spec-string form (``loops``/``arrays`` as lists of strings
     like ``"L0=pipeline+unroll:2"`` / ``"A=cyclic:4:2"``), ``None`` / ``{}``
     for the baseline configuration, and raises :class:`ProtocolError` for
-    everything else — including numbers that are not integers.
+    everything else — including numbers that are not integers and unknown
+    keys (a misspelt ``"unrol"`` would otherwise score the baseline design).
     """
     if payload is None:
         return PragmaConfig()
@@ -156,6 +177,7 @@ def config_from_payload(payload) -> PragmaConfig:
         raise ProtocolError(
             f"configuration must be a JSON object, got {type(payload).__name__}"
         )
+    _reject_unknown_keys(payload, _CONFIG_KEYS, "configuration")
     loops_payload = payload.get("loops")
     arrays_payload = payload.get("arrays")
     if isinstance(loops_payload, list) or isinstance(arrays_payload, list):

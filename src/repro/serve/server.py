@@ -14,7 +14,12 @@ The architecture is an asyncio front end over a single inference thread:
 * **micro-batcher** (:mod:`repro.serve.batcher`) — coalesces concurrent
   requests into shared ``predict_batch`` passes and, crucially,
   *serializes* every model call on one dedicated thread: the predictor's
-  memo dictionaries are plain dicts and are not thread-safe.
+  memo dictionaries are plain dicts and are not thread-safe.  The
+  ``repro-qor serve`` daemon runs that thread on one BLAS thread (set
+  before the model loads): an idle OpenBLAS pool thread spin-waits after
+  each threaded GEMM, on the core the event loop needs.  This class leaves
+  the pool size alone — it is process-wide, and served bits do not depend
+  on it — and reports it as ``blas_threads`` in ``stats``.
 * **admission control** — a bounded count of pending configurations
   (``max_pending``); past it, new work is rejected immediately with a
   structured ``overloaded`` error rather than queued into unbounded memory.
@@ -35,6 +40,7 @@ import asyncio
 import logging
 
 from repro.core.predictor import QoRPredictor
+from repro.nn.autograd import blas_threads
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import (
     ProtocolError,
@@ -174,6 +180,7 @@ class QoRServer:
                 "max_pending_configs": self.max_pending,
                 "draining": self._draining,
                 "connections": len(self._connections),
+                "blas_threads": blas_threads(),
             },
             "batcher": self.batcher.stats.as_dict(),
             "caches": {key: int(value) for key, value in cache_stats.items()},

@@ -29,6 +29,7 @@ from repro.dse.sharding import (
     fronts_match,
     max_prediction_error,
 )
+from repro.nn.autograd import blas_threads
 from repro.testing import FaultPlan, WorkerFault
 
 
@@ -328,6 +329,22 @@ class TestWorkStealing:
         assert result.mp_context == "spawn"
         assert result.recovered_configs == 0
         assert fronts_match(reference[1], result.front)
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("work_stealing", [False, True])
+    def test_every_worker_reports_one_blas_thread(
+        self, sharded_model_path, fir_space, work_stealing
+    ):
+        if blas_threads() is None:
+            pytest.skip("no OpenBLAS loaded")
+        result = ShardedExplorer(
+            sharded_model_path, num_workers=2, chunk_size=3,
+            work_stealing=work_stealing,
+        ).explore(fir_space)
+        assert result.recovered_configs == 0
+        assert [shard.cache_stats["blas_threads"] for shard in result.shards] == [1, 1]
+        assert result.cache_stats["blas_threads"] == 2
 
 
 class TestOversubscribedQueues:

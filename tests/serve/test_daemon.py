@@ -9,14 +9,17 @@ left listening on the port.
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.nn.autograd import blas_threads
 from repro.serve import QoRClient
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -44,20 +47,31 @@ def _spawn_daemon(saved_model, *extra_args):
         text=True,
         env=env,
     )
-    # the readiness line is the contract: "serving on HOST:PORT"
+    # the readiness line is the contract: "serving on HOST:PORT".  A thread
+    # reads it, so a daemon that hangs silently fails at the deadline
+    # instead of blocking the suite in readline
+    lines: queue.Queue[str] = queue.Queue()
+
+    def read_until_ready() -> None:
+        for line in process.stdout:
+            lines.put(line)
+            if line.startswith("serving on "):
+                return
+        lines.put("")  # end of output: the daemon exited
+
+    threading.Thread(target=read_until_ready, daemon=True).start()
     deadline = time.monotonic() + 120
-    line = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
+    while True:
+        try:
+            line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+        except queue.Empty:
+            process.kill()
+            raise AssertionError("daemon never reported readiness") from None
         if line.startswith("serving on "):
             break
-        if process.poll() is not None:
-            raise AssertionError(
-                f"daemon exited early: {process.stderr.read()}"
-            )
-    else:
-        process.kill()
-        raise AssertionError("daemon never reported readiness")
+        if not line:
+            process.wait(timeout=30)
+            raise AssertionError(f"daemon exited early: {process.stderr.read()}")
     host, _, port = line.removeprefix("serving on ").strip().rpartition(":")
     return process, host, int(port)
 
@@ -78,6 +92,26 @@ def test_signal_drains_and_exits_zero(saved_model, fir_sweep, fir_reference, sig
         # the socket really is gone
         with pytest.raises((ConnectionError, OSError)):
             QoRClient(host, port, timeout=5).ping()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+        process.stdout.close()
+        process.stderr.close()
+
+
+def test_daemon_runs_one_blas_thread(saved_model):
+    """The daemon sets its BLAS pool to one thread before the model loads
+    (the drain test above checks that it still serves, bit for bit, what
+    the in-process predictor computed at the host's pool size)."""
+    if blas_threads() is None:
+        pytest.skip("no OpenBLAS loaded")
+    process, host, port = _spawn_daemon(saved_model)
+    try:
+        with QoRClient(host, port) as client:
+            assert client.stats()["server"]["blas_threads"] == 1
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60) == 0
     finally:
         if process.poll() is None:
             process.kill()

@@ -127,3 +127,19 @@ class TestConfigPayloads:
     def test_integral_floats_are_accepted(self):
         config = config_from_payload({"loops": {"L0": {"unroll": 2.0}}})
         assert config.loop("L0").unroll_factor == 2
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"loops": {"L0": {"unrol": 4}}}, "unrol"),
+        ({"arrays": {"A": {"factr": 4}}}, "factr"),
+        ({"loop": {"L0": {"unroll": 4}}}, "loop"),
+        ({"loops": ["L0=unroll:4"], "array": ["A=cyclic:4"]}, "array"),
+    ])
+    def test_rejects_unknown_keys_naming_them(self, payload, key):
+        # a misspelt key used to be dropped, so the request silently scored
+        # the baseline design instead of the one asked for
+        with pytest.raises(ProtocolError, match=f"unknown .* key '{key}'"):
+            config_from_payload(payload)
+
+    def test_unroll_factor_alias_is_accepted(self):
+        config = config_from_payload({"loops": {"L0": {"unroll_factor": 4}}})
+        assert config.loop("L0").unroll_factor == 4

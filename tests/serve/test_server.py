@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro.nn.autograd import blas_threads
 from repro.serve import QoRClient, ServeError
 from repro.serve.protocol import decode_message, encode_message
 
@@ -31,6 +32,8 @@ class TestBasics:
         # the predictor's cache counters ride along
         assert "memoized_predictions" in stats["caches"]
         assert "lowered_source_evictions" in stats["caches"]
+        # an in-process server leaves the BLAS pool at the host's size
+        assert stats["server"]["blas_threads"] == blas_threads()
 
     def test_served_predictions_bit_identical_to_direct_batch(
         self, make_server, fir_sweep, fir_reference
@@ -98,6 +101,25 @@ class TestBadRequests:
                 assert response["ok"] is False, config
                 assert response["error"] == "bad-request", config
         with QoRClient(*harness.address) as client:
+            assert client.stats()["server"]["bad_requests"] == len(payloads)
+
+    def test_unknown_keys_get_bad_request_and_are_counted(self, make_server):
+        """A misspelt key is rejected naming the key — never scored as the
+        baseline design — and counted in ``bad_requests``."""
+        harness = make_server()
+        payloads = [
+            ({"loops": {"L0": {"unrol": 4}}}, "unrol"),
+            ({"arrays": {"coeff": {"factr": 4}}}, "factr"),
+            ({"loop": {"L0": {"unroll": 4}}}, "loop"),
+        ]
+        with QoRClient(*harness.address) as client:
+            for config, key in payloads:
+                with pytest.raises(ServeError) as excinfo:
+                    client.request({
+                        "type": "predict", "kernel": "fir", "configs": [config],
+                    })
+                assert excinfo.value.code == "bad-request", config
+                assert repr(key) in str(excinfo.value), config
             assert client.stats()["server"]["bad_requests"] == len(payloads)
 
     def test_invalid_json_line_gets_bad_request_not_disconnect(self, make_server):
