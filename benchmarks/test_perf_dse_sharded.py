@@ -17,23 +17,16 @@ design space) on a ``gemm`` space in three modes:
 * **skewed shards** — a deliberately imbalanced partition (one shard owns
   ~70% of the space) run with fixed assignments vs work stealing.  The
   fixed fleet idles behind the straggler shard; stealing spreads its
-  chunks.  All correctness guards (1e-9 predictions, bit-identical merged
-  front) apply to every mode.
+  chunks.  All correctness guards apply to every mode.
 
-The differential guards run unconditionally:
+The differential guards run unconditionally, on every mode:
 
-* per-configuration predictions within 1e-9 relative of single-process;
+* per-configuration predictions ``==`` the single-process engine's;
 * the merged front is **bit-identical** to one Pareto front fed every
-  streamed prediction (the deterministic-merge guarantee);
-* the merged front is equivalent to the single-process front within the
-  prediction tolerance (:func:`repro.dse.sharding.fronts_equivalent`).
-  Dedup mode makes ties *within* an equivalence class exact across
-  processes, but two *distinct* designs whose predictions coincide up to
-  ulps can still swap under the batch-composition differences between one
-  big in-process batch and per-shard chunks, so the single-process
-  comparison stays tolerance-based; the exact-membership guarantees
-  (``fronts_match`` / ``fronts_bit_equal``) are guarded sharded-vs-sharded
-  in ``tests/dse/test_sharding.py``.
+  streamed prediction (the deterministic-merge guarantee) and to the
+  single-process front (:func:`repro.dse.pareto.fronts_bit_equal`): a
+  prediction does not depend on its batch, so per-shard chunks and one big
+  in-process batch give the same bits.
 
 A ``deduped_space`` section reports the effective-directive dedup algebra:
 raw vs canonical class counts over the full enumerated space of several
@@ -77,8 +70,6 @@ from repro.dse import (
     fronts_bit_equal,
     predicted_front,
 )
-from repro.dse.sharding import fronts_equivalent
-from repro.dse.sharding import PREDICTION_TOLERANCE, max_prediction_error
 from repro.dse.space import sample_design_space
 from repro.flags import raw_directives
 from repro.kernels import load_kernel
@@ -126,8 +117,8 @@ def _deduped_space_section(model_path: str) -> dict:
     The cold sweep scores :data:`DEDUP_SWEEP_KERNEL`'s full space twice
     from a cold predictor: once with canonicalization disabled (every raw
     configuration scored) and once through the dedup algebra (class
-    representatives scored, predictions fanned out), guarded to agree
-    within the sharding tolerance and on the Pareto front.
+    representatives scored, predictions fanned out), guarded to give the
+    same bits and the same Pareto front.
     """
     classes_per_kernel = {}
     for kernel in DEDUP_KERNELS:
@@ -162,13 +153,11 @@ def _deduped_space_section(model_path: str) -> dict:
     dedup_seconds = time.perf_counter() - start
 
     # the two sweeps describe the same designs: raw-directive scoring and
-    # canonical-representative scoring must agree per configuration (ulp
-    # differences from batch composition only) and on the front
-    worst = max_prediction_error(raw_predictions, dedup_predictions)
-    assert worst < PREDICTION_TOLERANCE, (
-        f"dedup sweep diverged from the raw-directive sweep by {worst}"
+    # canonical-representative scoring give the same bits and the same front
+    assert dedup_predictions == raw_predictions, (
+        "dedup sweep diverged from the raw-directive sweep"
     )
-    assert fronts_equivalent(
+    assert fronts_bit_equal(
         predicted_front(space, raw_predictions).points(),
         predicted_front(space, dedup_predictions).points(),
     ), "dedup sweep selected a different Pareto front than the raw sweep"
@@ -229,7 +218,6 @@ def test_dse_sharded_throughput(tmp_path):
 
     sharded: dict[str, dict] = {}
     results = {}
-    identical_fronts: list[str] = []
     for strategy in ("pragma-locality", "round-robin"):
         explorer = ShardedExplorer(
             model_path, num_workers=num_workers, shard_strategy=strategy,
@@ -272,26 +260,18 @@ def test_dse_sharded_throughput(tmp_path):
 
     # differential guards (always enforced)
     for strategy, result in results.items():
-        worst = max_prediction_error(single_predictions, result.predictions)
-        assert worst < PREDICTION_TOLERANCE, (
-            f"{strategy}: sharded predictions diverged from the "
-            f"single-process engine by {worst}"
+        assert result.predictions == single_predictions, (
+            f"{strategy}: sharded predictions differ from the single-process "
+            f"engine's"
         )
         stream_front = predicted_front(space, result.predictions).points()
-        assert [(p.key, p.objectives) for p in result.front] == [
-            (p.key, p.objectives) for p in stream_front
-        ], f"{strategy}: merged front is not bit-identical to the stream front"
-        # cross-process guarantee: dedup mode makes same-class ties exact,
-        # but distinct designs predicting equal-up-to-ulps can still swap
-        # between the one-batch single-process sweep and per-shard chunks,
-        # so the single-process comparison is tolerance-based (see the
-        # module docstring; exact-membership guards are sharded-vs-sharded)
-        assert fronts_equivalent(single_front, result.front), (
-            f"{strategy}: merged front is not equivalent to the "
+        assert fronts_bit_equal(result.front, stream_front), (
+            f"{strategy}: merged front is not bit-identical to the stream front"
+        )
+        assert fronts_bit_equal(single_front, result.front), (
+            f"{strategy}: merged front is not bit-identical to the "
             f"single-process front"
         )
-        if fronts_bit_equal(single_front, result.front):
-            identical_fronts.append(strategy)
         assert result.recovered_configs == 0
 
     cores = _usable_cores()
@@ -316,13 +296,6 @@ def test_dse_sharded_throughput(tmp_path):
         "sharded": sharded,
         "deduped_space": deduped_space,
         "front_size": len(single_front),
-        #: modes whose merged front is bit-identical (not merely matching)
-        #: to the single-process front on this machine
-        "front_identical_modes": sorted(identical_fronts),
-        "prediction_max_rel_error": max(
-            max_prediction_error(single_predictions, r.predictions)
-            for r in results.values()
-        ),
         "speedup_target": SPEEDUP_TARGET,
         "speedup_target_enforced": enforce_speedup,
         #: skewed-fixed seconds / skewed-stealing seconds — how much of the

@@ -12,8 +12,8 @@ The walkthrough:
    worker bootstrap artifact);
 2. cold sharded sweep over a ``gemm`` design space with 2 workers, once per
    shard strategy — compare throughput and fleet cache stats;
-3. verify the determinism story: the merged front is identical to the
-   single-process engine's front;
+3. verify the determinism story: the fleet's predictions and merged front
+   are bit-identical to the single-process engine's;
 4. warm restart: run the sweep once in-process, save the model *with* its
    warm caches, and explore sharded again — every worker now answers from
    the persisted memo without building a single graph.
@@ -37,7 +37,7 @@ from repro.core import (
     build_design_instances,
 )
 from repro.core.predictor import QoRPredictor
-from repro.dse import DesignSpace, ShardedExplorer, fronts_match, predicted_front
+from repro.dse import DesignSpace, ShardedExplorer, fronts_bit_equal, predicted_front
 from repro.dse.space import sample_design_space
 from repro.kernels import load_kernels
 
@@ -98,9 +98,10 @@ def main() -> None:
     single = predictor.predict_batch(space.function(), list(space.configs))
     single_front = predicted_front(space, single).points()
     for strategy, result in results.items():
-        assert fronts_match(single_front, result.front), strategy
-    print(f"\nmerged fronts identical to the single-process front "
-          f"({len(single_front)} points) for both strategies")
+        assert result.predictions == single, strategy
+        assert fronts_bit_equal(single_front, result.front), strategy
+    print(f"\npredictions and merged fronts bit-identical to the single-process "
+          f"sweep ({len(single_front)} front points) for both strategies")
     print("predicted Pareto front (latency, area):")
     for point in single_front[:6]:
         print(f"  {point.objectives[0]:10.0f}  {point.objectives[1]:12.0f}  "
@@ -118,7 +119,8 @@ def main() -> None:
           f"({result.configs_per_second:,.0f} configs/s) — "
           f"graph builds: unit={stats['unit_misses']} "
           f"outer={stats['outer_misses']} (memo served the rest)")
-    assert fronts_match(single_front, result.front)
+    assert result.predictions == single
+    assert fronts_bit_equal(single_front, result.front)
 
 
 if __name__ == "__main__":

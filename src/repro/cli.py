@@ -198,7 +198,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
     With ``--workers N`` (N > 1) the sweep runs on the sharded multi-worker
     engine (:mod:`repro.dse.sharding`); otherwise the in-process batched
-    (or ``--sequential``) explorer is used.  ``--funnel`` (or an explicit
+    explorer is used.  ``--funnel`` (or an explicit
     ``--funnel-keep K``) routes the sweep through the surrogate-first
     :class:`~repro.dse.explorer.FunnelExplorer`; ``--precision float32``
     runs whichever engine was picked in the cheap inference tier.
@@ -212,8 +212,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
     if args.workers > 1 and not args.model:
         raise SystemExit("--workers requires --model (worker processes "
                          "bootstrap their predictors from the saved model)")
-    if args.workers > 1 and args.sequential:
-        raise SystemExit("--workers and --sequential are mutually exclusive")
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint (the file the "
                          "interrupted sweep persisted its progress to)")
@@ -227,9 +225,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
     if funnel and not args.model:
         raise SystemExit("--funnel requires --model (the surrogate is "
                          "distilled from the model's own predictions)")
-    if funnel and (args.sequential or args.workers > 1):
+    if funnel and args.workers > 1:
         raise SystemExit("--funnel runs on the in-process batched engine; "
-                         "it cannot combine with --sequential or --workers")
+                         "it cannot combine with --workers")
     function = _load_function(args)
     rng = np.random.default_rng(args.seed)
     configs = sample_design_space(function, args.configs, rng=rng)
@@ -253,9 +251,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
         # --warm-cache: adopt the persisted construction cache / prediction
         # memo saved alongside the model, and write the (now warmer) caches
         # back after the sweep, so successive service runs start warm
-        if args.warm_cache and args.sequential:
-            print("note: --sequential scores configs through the stateless "
-                  "per-config path, which does not consult the warm caches")
         model = load_model(
             args.model, warm_caches=args.warm_cache, precision=args.precision
         )
@@ -278,13 +273,12 @@ def cmd_dse(args: argparse.Namespace) -> int:
         else:
             explorer = ModelGuidedExplorer(
                 model.predict, name="hierarchical",
-                predict_batch_fn=None if args.sequential else model.predict_batch,
+                predict_batch_fn=model.predict_batch,
                 cache_stats_fn=model.cache_stats,
             )
             result = explorer.explore(function, space)
-            mode = f"batched, {args.precision}" if result.batched else "sequential"
             print(f"model-guided ADRS: {result.adrs_percent:.2f}%  "
-                  f"model time {result.model_seconds:.2f}s ({mode}, "
+                  f"model time {result.model_seconds:.2f}s (batched, {args.precision}, "
                   f"{result.configs_per_second:,.0f} configs/s)  "
                   f"speedup {result.speedup:,.0f}x")
         if args.warm_cache:
@@ -417,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--model", help="saved model to guide the exploration")
     dse.add_argument("--configs", type=int, default=100)
     dse.add_argument("--seed", type=int, default=0)
-    dse.add_argument("--sequential", action="store_true",
-                     help="score configurations one by one instead of using "
-                          "the batched cross-config inference engine")
     dse.add_argument("--warm-cache", action="store_true",
                      help="start from the construction cache / prediction "
                           "memo persisted in the model file and save the "

@@ -5,7 +5,6 @@ from repro.core.dataset import (
     DesignInstance,
     application_targets,
     build_design_instances,
-    decomposition_of,
     default_configurations,
     flat_sample,
     graph_to_sample,
@@ -35,7 +34,7 @@ from repro.core.trainer import GraphRegressorTrainer, TrainingConfig, TrainingRe
 
 __all__ = [
     "DesignInstance", "application_targets",
-    "build_design_instances", "decomposition_of",
+    "build_design_instances",
     "default_configurations", "flat_sample", "graph_to_sample",
     "inner_unit_samples",
     "HierarchicalModelConfig", "HierarchicalQoRModel", "HierarchicalTrainingReport",

@@ -22,7 +22,7 @@ import numpy as np
 from repro.frontend.pragmas import PragmaConfig
 from repro.graph.cdfg import CDFG
 from repro.graph.construction import build_flat_graph
-from repro.graph.hierarchy import HierarchicalDecomposition, InnerLoopUnit, decompose
+from repro.graph.hierarchy import InnerLoopUnit, decompose
 from repro.hls.flow import run_full_flow
 from repro.hls.op_library import DEFAULT_LIBRARY, OperatorLibrary
 from repro.hls.reports import QoRResult
@@ -192,13 +192,6 @@ def flat_sample(
     )
 
 
-def decomposition_of(
-    instance: DesignInstance, *, library: OperatorLibrary = DEFAULT_LIBRARY
-) -> HierarchicalDecomposition:
-    """The hierarchical decomposition of one design instance."""
-    return decompose(instance.function, instance.config, library=library)
-
-
 def default_configurations(
     function: IRFunction,
     *,
@@ -226,6 +219,6 @@ def default_configurations(
 __all__ = [
     "DesignInstance",
     "build_design_instances", "graph_to_sample", "inner_unit_samples",
-    "application_targets", "flat_sample", "decomposition_of",
+    "application_targets", "flat_sample",
     "default_configurations",
 ]

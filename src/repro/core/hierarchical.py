@@ -14,6 +14,7 @@ annotate the super nodes, and only then is the global model trained.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from repro.core.dataset import (
     DesignInstance,
     application_targets,
-    decomposition_of,
     graph_to_sample,
     inner_unit_samples,
 )
@@ -30,13 +30,7 @@ from repro.core.trainer import GraphRegressorTrainer, TrainingConfig, TrainingRe
 from repro.frontend.pragmas import PragmaConfig
 from repro.graph.cache import GraphConstructionCache
 from repro.graph.cdfg import CDFG, NODE_FEATURE_NAMES, NodeKind
-from repro.graph.features import annotate_super_node
-from repro.graph.hierarchy import (
-    HierarchicalDecomposition,
-    InnerLoopUnit,
-    decompose,
-    decomposition_signature,
-)
+from repro.graph.hierarchy import InnerLoopUnit, decompose, decomposition_signature
 from repro.hls.op_library import DEFAULT_LIBRARY, OperatorLibrary
 from repro.core.lru import LRUDict
 from repro.ir.structure import IRFunction
@@ -174,11 +168,20 @@ class HierarchicalQoRModel:
         self.trainer_p: GraphRegressorTrainer | None = None
         self.trainer_np: GraphRegressorTrainer | None = None
         self.trainer_g: GraphRegressorTrainer | None = None
-        # batched-inference caches: pragma-delta-keyed graphs, the
-        # GraphSample conversions of shared inner-unit subgraphs (plus each
-        # unit's pipelined flag and the outer-graph sample templates, which
-        # together let repeat deltas skip decomposition entirely), and the
-        # QoR predictions of already-seen design deltas
+        self._new_inference_caches(prediction_cache_capacity)
+        #: active inference tier across the three trainers (see
+        #: :meth:`set_precision`; float64 is the bit-identical default)
+        self.precision = "float64"
+
+    def _new_inference_caches(self, prediction_cache_capacity: int | None) -> None:
+        """Start empty batched-inference caches.
+
+        Pragma-delta-keyed graphs, the GraphSample conversions of shared
+        inner-unit subgraphs (plus each unit's pipelined flag and the
+        outer-graph sample templates, which together let repeat deltas skip
+        decomposition entirely), and the QoR predictions of already-seen
+        design deltas.
+        """
         self._graph_cache = GraphConstructionCache()
         self._unit_sample_cache: dict[tuple[str, str], GraphSample] = {}
         self._unit_pipelined: dict[tuple[str, str], bool] = {}
@@ -190,9 +193,16 @@ class HierarchicalQoRModel:
         # export_warm_caches(delta_only=True) so sharded workers ship only
         # what they computed themselves back to the coordinator
         self._imported_prediction_keys: set[tuple] = set()
-        #: active inference tier across the three trainers (see
-        #: :meth:`set_precision`; float64 is the bit-identical default)
-        self.precision = "float64"
+
+    def _scratch(self) -> "HierarchicalQoRModel":
+        """A shallow copy that shares this model's trainers over empty caches.
+
+        :meth:`predict` and ``fit``'s stage 2 run the batched steps on one,
+        so they leave this model's caches exactly as they found them.
+        """
+        scratch = copy.copy(self)
+        scratch._new_inference_caches(None)
+        return scratch
 
     def set_precision(self, value: str) -> None:
         """Switch all three models to the given inference tier.
@@ -351,10 +361,24 @@ class HierarchicalQoRModel:
         if non_pipelined:
             self.trainer_np, report.gnn_np = self._train_inner(non_pipelined, rng)
 
-        # stage 2: annotate super nodes with (frozen) inner predictions
-        application_samples = [
-            self._application_sample(instance) for instance in instances
-        ]
+        # stage 2: annotate super nodes with (frozen) inner predictions,
+        # through predict_batch's template steps on throwaway caches — one
+        # forward per inner model per kernel
+        scratch = self._scratch()
+        application_samples: list[GraphSample | None] = [None] * len(instances)
+        by_function: dict[int, list[int]] = {}
+        for index, instance in enumerate(instances):
+            by_function.setdefault(id(instance.function), []).append(index)
+        for indices in by_function.values():
+            function = instances[indices[0]].function
+            configs = [instances[index].config for index in indices]
+            samples = scratch._outer_samples(
+                function, list(zip(scratch._signatures(function, configs), configs))
+            )
+            for index, sample in zip(indices, samples):
+                sample.targets = application_targets(instances[index])
+                sample.metadata["kernel"] = instances[index].kernel
+                application_samples[index] = sample
         self.trainer_g, report.gnn_g = self._train_global(application_samples, rng)
         return report
 
@@ -402,57 +426,24 @@ class HierarchicalQoRModel:
     # inference
     # ------------------------------------------------------------------ #
     def predict_inner_unit(self, unit: InnerLoopUnit) -> dict[str, float]:
-        """QoR prediction for one inner-hierarchy loop."""
-        trainer = self.trainer_p if unit.pipelined else self.trainer_np
-        if trainer is None:
-            trainer = self.trainer_np if unit.pipelined else self.trainer_p
-        if trainer is None:
-            raise RuntimeError("inner models have not been trained")
-        sample = graph_to_sample(unit.subgraph)
-        predictions = trainer.predict([sample], cache=False)
+        """QoR prediction for one inner-hierarchy loop (GNNp or GNNnp)."""
+        trainer = self._inner_trainer_for(unit.pipelined)
+        predictions = trainer.predict([graph_to_sample(unit.subgraph)], cache=False)
         return {name: float(values[0]) for name, values in predictions.items()}
-
-    def _annotated_outer_sample(
-        self,
-        decomposition: HierarchicalDecomposition,
-        targets: dict[str, float] | None = None,
-        metadata: dict[str, str] | None = None,
-    ) -> GraphSample:
-        for unit in decomposition.inner_units:
-            prediction = self.predict_inner_unit(unit)
-            for node_id in decomposition.super_node_ids(unit.label):
-                annotate_super_node(
-                    decomposition.outer_graph, node_id,
-                    latency=prediction.get("latency", 0.0),
-                    lut=prediction.get("lut", 0.0),
-                    ff=prediction.get("ff", 0.0),
-                    dsp=prediction.get("dsp", 0.0),
-                    iteration_latency=prediction.get("iteration_latency", 0.0),
-                )
-        return graph_to_sample(decomposition.outer_graph, targets, metadata)
-
-    def _application_sample(self, instance: DesignInstance) -> GraphSample:
-        decomposition = decomposition_of(instance, library=self.library)
-        return self._annotated_outer_sample(
-            decomposition, application_targets(instance),
-            metadata={"kernel": instance.kernel, "config": instance.config.describe()},
-        )
 
     def predict(
         self, function: IRFunction, config: PragmaConfig | None = None
     ) -> dict[str, float]:
         """Predict post-route QoR of a kernel under a configuration.
 
-        Runs graph construction, inner-unit prediction, super-node annotation
-        and the global model — no HLS or implementation flow is invoked.
+        Runs :meth:`predict_batch`'s steps for this one configuration on
+        throwaway caches, so the call is stateless: the model's memo and
+        caches are left as they were.  Every forward product is
+        batch-invariant, so the result has the bits the same configuration
+        gets inside any ``predict_batch`` union.  No HLS or implementation
+        flow is invoked.
         """
-        if self.trainer_g is None:
-            raise RuntimeError("the hierarchical model has not been trained")
-        config = config or PragmaConfig()
-        decomposition = decompose(function, config, library=self.library)
-        sample = self._annotated_outer_sample(decomposition)
-        predictions = self.trainer_g.predict([sample], cache=False)
-        return {name: float(values[0]) for name, values in predictions.items()}
+        return self._scratch().predict_batch(function, [config])[0]
 
     # ------------------------------------------------------------------ #
     # batched inference (the DSE hot path)
@@ -534,9 +525,9 @@ class HierarchicalQoRModel:
     ) -> list[dict[str, float]]:
         """Predict post-route QoR for a whole design space at once.
 
-        Numerically equivalent to calling :meth:`predict` per configuration
-        but orders of magnitude cheaper: graphs are constructed once per
-        pragma delta (see :class:`~repro.graph.cache.GraphConstructionCache`),
+        Bit-identical to calling :meth:`predict` per configuration, but
+        orders of magnitude cheaper: graphs are constructed once per pragma
+        delta (see :class:`~repro.graph.cache.GraphConstructionCache`),
         every inner-loop unit of every configuration runs through one
         disjoint-union forward pass per inner model (GNNp / GNNnp), the
         predictions are scattered onto the super nodes of the condensed
@@ -553,22 +544,7 @@ class HierarchicalQoRModel:
         if not resolved:
             return []
 
-        # 0) pragma-delta signature per configuration (no graphs built yet):
-        #    configurations with equal signatures are the same design, so one
-        #    representative is decomposed/predicted and memoized results are
-        #    served without any construction at all.  The function enters the
-        #    key via its content fingerprint, which is what lets a persisted
-        #    memo (load_model with warm caches) serve post-restart sweeps.
-        fingerprint = self._graph_cache.fingerprint(function)
-        signatures = [
-            (
-                fingerprint,
-                decomposition_signature(
-                    function, config, self._graph_cache, library=self.library
-                ),
-            )
-            for config in resolved
-        ]
+        signatures = self._signatures(function, resolved)
         # ``served`` pins every metrics dict this call hands out: the memo is
         # LRU-bounded, so a batch larger than the remaining capacity could
         # evict its own early entries before the final scatter reads them
@@ -587,6 +563,51 @@ class HierarchicalQoRModel:
         if not pending:
             return [dict(served[s]) for s in signatures]
 
+        # 1-3) one annotated outer sample per pending design, then 4) one
+        #    batched GNNg pass over them; memoize per design delta and
+        #    scatter back onto the configuration order
+        outputs = self.trainer_g.predict(
+            self._outer_samples(function, pending),
+            max_batch_nodes=self.MAX_BATCH_NODES,
+        )
+        for index, (signature, _) in enumerate(pending):
+            metrics = {
+                name: float(values[index]) for name, values in outputs.items()
+            }
+            self._prediction_cache[signature] = metrics
+            served[signature] = metrics
+        # hand out copies: callers may mutate their result dicts freely
+        # without corrupting the memo
+        return [dict(served[s]) for s in signatures]
+
+    def _signatures(
+        self, function: IRFunction, configs: list[PragmaConfig]
+    ) -> list[tuple]:
+        """Step 0: the pragma-delta signature of each configuration.
+
+        No graphs are built: configurations with equal signatures are the
+        same design, so one representative is decomposed and predicted, and
+        memoized results are served without any construction at all.  The
+        function enters the key via its content fingerprint, which is what
+        lets a persisted memo (load_model with warm caches) serve
+        post-restart sweeps.
+        """
+        fingerprint = self._graph_cache.fingerprint(function)
+        return [
+            (
+                fingerprint,
+                decomposition_signature(
+                    function, config, self._graph_cache, library=self.library
+                ),
+            )
+            for config in configs
+        ]
+
+    def _outer_samples(
+        self, function: IRFunction, pending: list[tuple[tuple, PragmaConfig]]
+    ) -> list[GraphSample]:
+        """Steps 1-3: the annotated outer sample of each ``(signature, config)``."""
+        fingerprint = self._graph_cache.fingerprint(function)
         # 1) resolve every pending design to its inner-unit keys and an
         #    outer sample template, decomposing only when the delta has never
         #    been seen.  A design whose outer template and unit samples are
@@ -648,9 +669,8 @@ class HierarchicalQoRModel:
                 }
 
         # 3) write the inner predictions onto each design's super nodes,
-        #    straight into a copy of its template's feature matrix, and
-        #    collect the outer samples
-        outer_samples = [
+        #    straight into a copy of its template's feature matrix
+        return [
             self._outer_sample_from_template(
                 template, unit_keys, fingerprint, config, inner_predictions
             )
@@ -658,21 +678,6 @@ class HierarchicalQoRModel:
                 templates, pending_units, pending
             )
         ]
-
-        # 4) one batched GNNg pass over the condensed graphs; memoize per
-        #    design delta and scatter back onto the configuration order
-        outputs = self.trainer_g.predict(
-            outer_samples, max_batch_nodes=self.MAX_BATCH_NODES
-        )
-        for index, (signature, _) in enumerate(pending):
-            metrics = {
-                name: float(values[index]) for name, values in outputs.items()
-            }
-            self._prediction_cache[signature] = metrics
-            served[signature] = metrics
-        # hand out copies: callers may mutate their result dicts freely
-        # without corrupting the memo
-        return [dict(served[s]) for s in signatures]
 
     def evaluate(self, instances: list[DesignInstance]) -> dict[str, float]:
         """Whole-design MAPE of the hierarchical predictor over instances."""

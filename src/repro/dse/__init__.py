@@ -35,8 +35,6 @@ from repro.dse.sharding import (
     ShardedDSEResult,
     ShardedExplorer,
     ShardSpec,
-    fronts_equivalent,
-    fronts_match,
     partition_space,
     predicted_front,
 )
@@ -60,7 +58,7 @@ __all__ = [
     "DesignPoint", "ParetoFront", "adrs", "dominates", "fronts_bit_equal",
     "hypervolume_2d", "merge_fronts", "normalize_objectives", "pareto_front",
     "SHARD_STRATEGIES", "ShardedDSEResult", "ShardedExplorer", "ShardSpec",
-    "fronts_equivalent", "fronts_match", "partition_space", "predicted_front",
+    "partition_space", "predicted_front",
     "UNROLL_FACTORS", "DedupedSpace", "DesignClass", "DesignSpace",
     "LoopChain", "enumerate_design_space", "loop_chains",
     "sample_design_space",

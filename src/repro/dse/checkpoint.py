@@ -6,23 +6,13 @@ persists its progress — every scored canonical config id with its exact
 prediction — and a restarted fleet (``ShardedExplorer(checkpoint=...,
 resume=True)``) skips everything the checkpoint already covers.
 
-**Why resume is bit-equal.**  Predictions are *not* pure down to the last
-ulp: ``predict_batch`` output varies at the final bit with batch
-composition, because BLAS picks different (equally correct) kernels for
-different disjoint-union sizes.  The coordinator therefore preserves chunk
-compositions instead of relying on purity: the resuming sweep partitions
-the **full** wanted set exactly as a clean run would, drops
-already-checkpointed work only in *whole chunks* of that canonical layout
-(checkpoint records are chunk-granular: results stream per whole chunk, and
-:meth:`CheckpointWriter.record_chunk` checks the save interval only between
-chunks), and recovers missing work one original chunk per batch — so every
-``predict_batch`` call that still runs sees the same composition the
-uninterrupted sweep gave it.  Predictions persist through JSON, whose
-``repr``-based float encoding round-trips float64 exactly, and the merged
-Pareto front is a pure function of the ``(objectives, config_id)``
-multiset — so feeding checkpointed predictions into the merge next to
-freshly scored ones reproduces the uninterrupted front bit for bit
-(:func:`~repro.dse.pareto.fronts_bit_equal`).
+**Why resume is bit-equal.**  A design's prediction does not depend on
+what it is batched with (see "Batch invariance" in ``docs/ARCHITECTURE.md``),
+predictions persist through JSON, whose ``repr``-based float encoding
+round-trips float64 exactly, and the merged Pareto front is a pure function
+of the ``(objectives, config_id)`` multiset — so feeding checkpointed
+predictions into the merge next to freshly scored ones reproduces the
+uninterrupted front bit for bit (:func:`~repro.dse.pareto.fronts_bit_equal`).
 
 **File format.**  One JSON document ``{"body": ..., "digest": ...}``:
 ``digest`` is a sha256 prefix over the canonically-serialized body, so any
@@ -244,8 +234,8 @@ class CheckpointWriter:
         """Fold ``(config_id, metrics)`` pairs in whole, then persist if due.
 
         The interval is checked once, after the last pair, so a save never
-        splits the chunk the pairs came from — which keeps every checkpoint
-        a union of whole chunks of the sweep's layout.
+        splits the chunk the pairs came from: every checkpoint is a union of
+        whole chunks of the sweep's layout.
         """
         for config_id, metrics in pairs:
             if config_id not in self.scored:

@@ -179,11 +179,9 @@ def fronts_bit_equal(a: list[DesignPoint], b: list[DesignPoint]) -> bool:
     """True when two fronts are *bit-identical*: same length, and pairwise
     equal keys and objective vectors (``==`` on floats, no tolerance).
 
-    This is the tightened cross-process guarantee: with effective-directive
-    canonicalization, every process scores a duplicate design through one
-    canonical signature, so equivalent design points can no longer produce
-    ulp-level different objectives — coordinator and single-process fronts
-    must match exactly, not merely within tolerance.
+    The one front comparison of the sharded engine: its fronts are
+    bit-identical to the single-process engine's, across processes, shard
+    layouts, recovery and resume (see :mod:`repro.dse.sharding`).
     """
     if len(a) != len(b):
         return False

@@ -37,48 +37,17 @@ than its (bit-identically-predicting) representative, so the front over
 representatives *is* the front over the full space.  ``dedup=False``
 restores the exhaustive sweep.
 
-**Determinism guarantee.**  Two layers, guarded separately:
-
-* the *merge* is bit-exact: :class:`~repro.dse.pareto.ParetoFront` is a pure
-  function of the ``(objectives, config_id)`` multiset, so shard count,
-  shard strategy, chunk size, queue topology and message arrival order
-  cannot change the merged front — it is identical, member for member and
-  in the same canonical order, to one front fed every prediction directly;
-* the *predictions* agree with the single-process batched engine to within
-  1e-9 relative (typically bit-exact).  Workers load the same weights and
-  run the same deterministic numpy arithmetic — at one BLAS thread, where
-  the coordinator keeps the host's pool size, which no inference bit
-  depends on (``tests/nn/test_blas_threads.py``).  The residual last-ulp
-  variation comes from BLAS choosing different (equally correct) kernels
-  for different disjoint-union sizes.  The degenerate single-row /
-  single-column dispatch — by far the largest such effect — is removed at
-  the source (see ``repro.nn.autograd._stable_matmul``).  Dominance gaps
-  between *distinct* designs are macroscopic, so this noise cannot flip
-  front membership between them.  **Duplicate designs** — distinct
-  configurations HLS resolves identically — used to be the one place ulps
-  could matter: scored by different processes they could come back
-  last-ulp different, letting either duplicate survive the Pareto tie.
-  Effective-directive canonicalization closes that hole at the source:
-  every process rewrites a configuration to its canonical form before
-  graph construction, so duplicates share one decomposition signature —
-  one prediction-memo entry per process (duplicates scored by the *same*
-  process tie exactly), one warm-cache blob, adjacent never-split slots
-  in the ``pragma-locality`` order (so exhaustive locality sweeps keep
-  each duplicate family on one worker) — and dedup mode (the default)
-  never scores more than one family member to begin with, under *any*
-  strategy.  Front **membership** is therefore exactly reproducible
-  cross-process: :func:`fronts_match` (exact keys and order, tolerance
-  only on the stored objective floats) is the sharded-vs-single-process
-  guarantee, and full **bit-equality**
-  (:func:`~repro.dse.pareto.fronts_bit_equal` — objectives included)
-  holds between any two sweeps that score identical chunk compositions:
-  repeated runs, both queue topologies over the same shards,
-  crashed-and-recovered vs clean fleets, resumed vs uninterrupted sweeps,
-  and dedup vs exhaustive sweeps in one process.  :func:`fronts_equivalent`
-  (tolerating duplicate swaps) remains only for the raw-directives
-  differential path — ``dedup=False`` under a signature-blind
-  distribution — which reintroduces the duplicate-tie ambiguity that
-  canonicalization removes.
+**Determinism guarantee.**  A sharded sweep returns predictions ``==`` to
+single-process ``predict_batch`` and a front that is
+:func:`~repro.dse.pareto.fronts_bit_equal` to :func:`predicted_front` over
+them, whatever the shard count, strategy, chunk size, queue topology,
+message order, crash recovery or resume.  Two facts make that hold: a
+design's prediction does not depend on what it is batched with (every
+forward product is batch-invariant, see "Batch invariance" in
+``docs/ARCHITECTURE.md``) or on the BLAS pool size, and
+:class:`~repro.dse.pareto.ParetoFront` is a pure function of the
+``(objectives, config_id)`` multiset.  Workers load the same weights from
+the same file, so this holds across processes on one BLAS build.
 
 **Failure handling.**  A worker that dies mid-sweep (crash, OOM-kill) simply
 stops streaming: the coordinator notices the process is gone without a
@@ -93,21 +62,11 @@ every scored prediction through :class:`~repro.dse.checkpoint.CheckpointWriter`
 (atomic tmp+rename writes, digest-sealed, bound to the space fingerprint,
 model weights digest and precision tier); ``resume=True`` folds a verified
 checkpoint back in and dispatches only the not-yet-scored configurations.
-Bit-equality with an uninterrupted sweep is achieved **by construction**:
-predictions carry last-ulp sensitivity to ``predict_batch`` composition
-(BLAS kernel dispatch varies with the disjoint-union size), so the resumed
-run reproduces the clean run's exact chunk compositions — the partition is
-computed over the *full* wanted set exactly as a clean run would, and
-already-scored work is dropped only in **whole chunks** of that canonical
-layout: the coordinator folds every delivered or recovered chunk into the
-writer whole before the save interval is checked, so a checkpoint is always
-a union of whole chunks.  Checkpointed predictions round-trip exactly
-through JSON's ``repr``-based float encoding, and the merge is a pure
-function of the ``(objectives, config_id)`` multiset — so the resumed front
-is bit-equal (:func:`~repro.dse.pareto.fronts_bit_equal`) to the
-uninterrupted one.  The fault-injection differential tests
-(``repro.testing.faults``) assert exactly this for fleets killed, stalled
-and aborted mid-sweep under both queue topologies.
+Checkpointed predictions round-trip exactly through JSON's ``repr``-based
+float encoding, so the resumed front is bit-equal to the uninterrupted one.
+The fault-injection differential tests (``repro.testing.faults``) assert
+exactly this for fleets killed, stalled and aborted mid-sweep under both
+queue topologies.
 
 **Warm-cache write-back.**  With ``write_back=True`` every worker ships the
 construction-cache / prediction-memo entries *it* built (a bounded,
@@ -166,34 +125,6 @@ WRITE_BACK_MAX_ENTRIES = 8192
 #: end marker the coordinator reads its task queues back up to at cleanup
 _DRAINED = "drained"
 
-#: relative agreement guaranteed between worker-process and single-process
-#: predictions (see the determinism notes in the module docstring); the
-#: differential tests and the sharded benchmark guard exactly this bound
-PREDICTION_TOLERANCE = 1e-9
-
-
-def max_prediction_error(
-    a: list[dict[str, float]], b: list[dict[str, float]]
-) -> float:
-    """Worst per-metric relative deviation between two prediction lists.
-
-    The quantity the sharded-vs-single-process guards compare against
-    :data:`PREDICTION_TOLERANCE` (denominators are clamped at 1.0 so
-    near-zero metrics do not inflate the ratio).  Misaligned inputs are an
-    error — a truncating comparison could pass vacuously.
-    """
-    if len(a) != len(b):
-        raise ValueError(
-            f"prediction lists differ in length: {len(a)} vs {len(b)}"
-        )
-    worst = 0.0
-    for left, right in zip(a, b):
-        for name in left:
-            scale = max(abs(left[name]), 1.0)
-            worst = max(worst, abs(left[name] - right[name]) / scale)
-    return worst
-
-
 @dataclass(frozen=True)
 class ShardSpec:
     """One shard of a design space: a stable id and the config ids it owns.
@@ -231,14 +162,6 @@ def _pragma_locality_blocks(
     construction work — next to each other; cutting the order into
     contiguous blocks maximizes each worker's construction-cache hit rate.
     Signature computation builds no graphs, so sharding stays cheap.
-
-    A block boundary never splits a run of **equal** signatures: such
-    configurations are the *same design* (identical graphs, identical
-    predictions), and keeping them on one worker means its per-signature
-    prediction memo serves them one bit-identical value — which is what
-    keeps Pareto ties between duplicate designs resolving exactly as in
-    the single-process engine.  Blocks therefore balance to within one
-    signature run rather than one configuration.
     """
     cache = GraphConstructionCache()
     function = space.function()
@@ -249,22 +172,14 @@ def _pragma_locality_blocks(
         )
         signatures.append((unit_keys, outer_key, config_id))
     signatures.sort()
-    keys = [(unit_keys, outer_key) for unit_keys, outer_key, _ in signatures]
     order = [config_id for _, _, config_id in signatures]
     base, extra = divmod(len(order), num_shards)
     blocks: list[tuple[int, ...]] = []
     position = 0
     for index in range(num_shards):
-        if position >= len(order):
-            break
-        end = min(position + base + (1 if index < extra else 0), len(order))
-        while 0 < end < len(order) and keys[end] == keys[end - 1]:
-            end += 1  # extend to the end of the equal-signature run
-        if end > position:
-            blocks.append(tuple(sorted(order[position:end])))
+        end = position + base + (1 if index < extra else 0)
+        blocks.append(tuple(sorted(order[position:end])))
         position = end
-    if position < len(order) and blocks:
-        blocks[-1] = tuple(sorted(blocks[-1] + tuple(order[position:])))
     return blocks
 
 
@@ -284,9 +199,8 @@ def partition_space(
       one configuration;
     * ``pragma-locality`` — configurations sharing pragma deltas are grouped
       onto the same shard so each worker's construction cache sees maximal
-      reuse; sizes balance to within one *signature run* because a block
-      boundary never splits equal-signature duplicates
-      (see :func:`_pragma_locality_blocks`).
+      reuse (see :func:`_pragma_locality_blocks`); sizes differ by at most
+      one configuration.
 
     ``config_ids`` restricts the partition to a subset of the space — the
     dedup mode shards only class representatives this way.  Default: every
@@ -473,9 +387,8 @@ class ShardedDSEResult:
     of their representative's prediction — which is what a full sweep would
     have produced, bit for bit); ``front`` is the merged predicted-Pareto
     front in the canonical ``(objectives, config_id)`` order — bit-identical
-    to :func:`predicted_front` over ``predictions``, and identical in
-    membership and order to the single-process engine's front (see the
-    module docstring for the exact guarantee).
+    to :func:`predicted_front` over ``predictions`` and to the
+    single-process engine's front (see the module docstring).
     """
 
     kernel: str
@@ -554,56 +467,6 @@ def predicted_front(
     compares the sharded engine's merged front against exactly this.
     """
     return _fold_front(space, enumerate(predictions))
-
-
-def fronts_match(
-    a: list[DesignPoint],
-    b: list[DesignPoint],
-    *,
-    rel_tolerance: float = PREDICTION_TOLERANCE,
-) -> bool:
-    """True when two fronts are the same set of designs in the same order.
-
-    Membership and ordering are compared exactly (by key); objective values
-    are compared within ``rel_tolerance`` relative (:func:`fronts_equivalent`),
-    absorbing the last-ulp BLAS kernel-dispatch variation described in the
-    module docstring.  This is the comparison the differential tests and the
-    sharded benchmark guard.
-    """
-    return [point.key for point in a] == [point.key for point in b] and (
-        fronts_equivalent(a, b, rel_tolerance=rel_tolerance)
-    )
-
-
-def fronts_equivalent(
-    a: list[DesignPoint],
-    b: list[DesignPoint],
-    *,
-    rel_tolerance: float = PREDICTION_TOLERANCE,
-) -> bool:
-    """Like :func:`fronts_match`, but accepting near-tie swaps.
-
-    The dedup algebra makes Pareto ties *within* an equivalence class exact
-    — every member carries its representative's prediction bit-for-bit, so
-    the deterministic tie-break always picks the same survivor.  What it
-    cannot make exact are near-ties between *distinct* designs: two
-    configurations that HLS resolves differently (e.g. a pipeline directive
-    on a fully unrolled loop shifts the simulated schedule by a few cycles)
-    can still be mapped by a trained model to objectives equal up to
-    last-ulp batch-composition effects.  Which of such a pair survives
-    dominance then depends on those ulps, which differ between process
-    topologies (one big batch vs per-shard chunks).  The cross-topology
-    front guarantee is therefore: same length, and at every position
-    objectives agreeing within tolerance — i.e. interchangeable near-ties.
-    """
-    if len(a) != len(b):
-        return False
-    for point_a, point_b in zip(a, b):
-        for value_a, value_b in zip(point_a.objectives, point_b.objectives):
-            scale = max(abs(value_a), abs(value_b), 1.0)
-            if abs(value_a - value_b) > rel_tolerance * scale:
-                return False
-    return True
 
 
 def _default_mp_context() -> str:
@@ -892,37 +755,30 @@ class ShardedExplorer:
                 pass  # already closed
 
     def _recover_missing(
-        self, space: DesignSpace, chunks: list[list[int]]
-    ) -> tuple[list[list[tuple[int, dict[str, float]]]], dict, dict | None]:
-        """Score chunks no worker delivered, in-process.
+        self, space: DesignSpace, config_ids: list[int]
+    ) -> tuple[list[tuple[int, dict[str, float]]], dict, dict | None]:
+        """Score the configurations no worker delivered, in-process.
 
-        Each chunk is re-scored as its own batch: BLAS kernel dispatch
-        varies at the last ulp with batch composition, so recovery must
-        reproduce the compositions exactly for the crashed-and-recovered
-        front to stay bit-equal to a clean fleet's.
-
-        Returns ``(recovered, cache_stats, write_back_delta)`` — one
-        ``[(config_id, metrics), ...]`` list per chunk, the recovery
-        predictor's cache counters, and a bounded warm-cache delta (the
-        coordinator is just another scoring process as far as write-back is
-        concerned), ``None`` unless ``write_back`` is on.  Without chunks
-        nothing is loaded: ``([], {}, None)``.
+        All of them go through one ``predict_batch``: a prediction does not
+        depend on its batch, so the recovered front is bit-equal to a clean
+        fleet's.  Returns ``(recovered, cache_stats, write_back_delta)`` —
+        the ``[(config_id, metrics), ...]`` pairs, the recovery predictor's
+        cache counters, and a bounded warm-cache delta (the coordinator is
+        just another scoring process as far as write-back is concerned),
+        ``None`` unless ``write_back`` is on.  With nothing lost nothing is
+        loaded: ``([], {}, None)``.
         """
-        if not chunks:
+        if not config_ids:
             return [], {}, None
         predictor = QoRPredictor.load(
             self.model_path, warm_caches=self.warm_caches,
             precision=self.precision,
         )
-        function = space.function()
-        recovered = [
-            list(zip(chunk, predictor.predict_batch(
-                function, [space.config(cid) for cid in chunk]
-            )))
-            for chunk in chunks
-        ]
+        predictions = predictor.predict_batch(
+            space.function(), [space.config(cid) for cid in config_ids]
+        )
         delta = _bounded_warm_delta(predictor) if self.write_back else None
-        return recovered, predictor.cache_stats(), delta
+        return list(zip(config_ids, predictions)), predictor.cache_stats(), delta
 
     def _prepare_sweep(self, space: DesignSpace) -> dict[int, dict[str, float]]:
         """Reset per-sweep state; load the checkpoint and arm the writer.
@@ -1004,22 +860,21 @@ class ShardedExplorer:
         self,
         prior: dict[int, dict[str, float]],
         predictions_by_id: dict[int, dict[str, float]],
-        recovered: list[list[tuple[int, dict[str, float]]]],
+        recovered: list[tuple[int, dict[str, float]]],
         coordinator_delta: dict | None,
     ) -> dict:
         """Post-fleet bookkeeping: fold in recovery and the resumed prior.
 
-        Records each coordinator-recovered chunk whole into the prediction
+        Records the coordinator-recovered predictions into the prediction
         table and the checkpoint, folds the resumed prior back into the
         prediction table, seals the checkpoint as ``complete`` and merges
         any pending write-back deltas into the model file.  Returns the
         write-back summary (empty dict when write-back is off).
         """
         writer = self._checkpoint_writer
-        for chunk in recovered:
-            predictions_by_id.update(chunk)
-            if writer is not None:
-                writer.record_chunk(chunk)
+        predictions_by_id.update(recovered)
+        if writer is not None:
+            writer.record_chunk(recovered)
         for config_id, metrics in prior.items():
             predictions_by_id.setdefault(config_id, metrics)
         if writer is not None:
@@ -1051,12 +906,10 @@ class ShardedExplorer:
         deduped = space.dedup() if self.dedup else None
         prior = self._prepare_sweep(space)
         start = time.perf_counter()
-        # The canonical chunk layout.  Dedup restricts the partition to class
-        # representatives (None keeps the partitioner hook's full view); a
-        # resumed prior deliberately does NOT — the partition, hence every
-        # chunk, must be the uninterrupted sweep's, and already-scored work
-        # is filtered out per chunk instead, so every remaining batch keeps
-        # its original composition (bit-equality)
+        # The chunk layout.  Dedup restricts the partition to class
+        # representatives (None keeps the partitioner hook's full view); the
+        # configurations a resumed checkpoint covers are dropped per chunk,
+        # so the shards stay the uninterrupted sweep's
         shards = self._partition(
             space, deduped.representative_ids() if deduped is not None else None
         )
@@ -1117,7 +970,7 @@ class ShardedExplorer:
                 if missing:
                     lost.append((key, missing))
             recovered, coordinator_stats, coordinator_delta = (
-                self._recover_missing(space, [chunk for _, chunk in lost])
+                self._recover_missing(space, [cid for _, chunk in lost for cid in chunk])
             )
             recovered_by: dict[int, int] = {}
             for key, chunk in lost:
@@ -1129,7 +982,7 @@ class ShardedExplorer:
             # resumed predictions join as more fronts (the merge is
             # partition-invariant)
             fronts = [_fold_front(space, streamed[key]) for key in processes]
-            fronts.extend(_fold_front(space, chunk) for chunk in recovered)
+            fronts.append(_fold_front(space, recovered))
             fronts.append(_fold_front(space, sorted(prior.items())))
             merged = merge_fronts(fronts)
             model_seconds = time.perf_counter() - start
@@ -1182,10 +1035,8 @@ class ShardedExplorer:
 
 
 __all__ = [
-    "SHARD_STRATEGIES", "DEFAULT_CHUNK_SIZE", "PREDICTION_TOLERANCE",
-    "WRITE_BACK_MAX_ENTRIES",
+    "SHARD_STRATEGIES", "DEFAULT_CHUNK_SIZE", "WRITE_BACK_MAX_ENTRIES",
     "ShardSpec", "partition_space", "shard_worker",
-    "ShardReport", "ShardedDSEResult", "predicted_front", "fronts_match",
-    "fronts_equivalent", "fronts_bit_equal", "max_prediction_error",
+    "ShardReport", "ShardedDSEResult", "predicted_front", "fronts_bit_equal",
     "ShardedExplorer",
 ]

@@ -142,12 +142,24 @@ def _parse_options(parts: list[str]) -> dict[str, str | bool]:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LoopDirective:
-    """Directives applied to one loop (addressed by its label)."""
+    """Directives applied to one loop (addressed by its label).
+
+    ``unroll_factor`` 0 means full unroll and ``ii`` 0 means no target II;
+    a negative value of either raises :class:`ValueError` naming the field.
+    """
 
     pipeline: bool = False
     ii: int = 0
     unroll_factor: int = 1
     flatten: bool = False
+
+    def __post_init__(self) -> None:
+        if self.unroll_factor < 0:
+            raise ValueError(
+                f"unroll must be >= 0 (0 means full unroll), got {self.unroll_factor}"
+            )
+        if self.ii < 0:
+            raise ValueError(f"ii must be >= 0 (0 means unset), got {self.ii}")
 
     def describe(self) -> str:
         parts = []
@@ -162,11 +174,25 @@ class LoopDirective:
 
 @dataclass(frozen=True)
 class ArrayDirective:
-    """Array partitioning applied to one top-level array argument."""
+    """Array partitioning applied to one top-level array argument.
+
+    ``dim`` counts from 1, and a cyclic or block ``factor`` must be at
+    least 1 (a complete partition ignores it); anything else raises
+    :class:`ValueError` naming the field.
+    """
 
     partition_type: PartitionType = PartitionType.CYCLIC
     factor: int = 1
     dim: int = 1
+
+    def __post_init__(self) -> None:
+        if self.factor < 1 and self.partition_type is not PartitionType.COMPLETE:
+            raise ValueError(
+                f"factor must be >= 1 for a {self.partition_type.value} "
+                f"partition, got {self.factor}"
+            )
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
 
     def describe(self) -> str:
         if self.factor <= 1 and self.partition_type is not PartitionType.COMPLETE:
@@ -281,8 +307,10 @@ def config_from_specs(
     ``L0=pipeline+unroll:2`` or ``L0=flatten``; array specs look like
     ``A=cyclic:4:2`` (type : factor : dim).  This is the notation of the
     CLI's ``--loop``/``--array`` options and of the serving protocol's
-    spec-string configurations.  An unknown directive, a non-integer number
-    or an unknown partition type raises :class:`ValueError` naming the spec.
+    spec-string configurations.  An unknown directive, a non-integer number,
+    an unknown partition type or an out-of-range value (see
+    :class:`LoopDirective` and :class:`ArrayDirective`) raises
+    :class:`ValueError` naming the spec.
     """
     loops: dict[str, LoopDirective] = {}
     for spec in loop_specs or []:
@@ -303,9 +331,12 @@ def config_from_specs(
                 flatten = True
             elif name:
                 raise ValueError(f"unknown loop directive {name!r} in {spec!r}")
-        loops[label.strip()] = LoopDirective(
-            pipeline=pipeline, ii=ii, unroll_factor=unroll, flatten=flatten
-        )
+        try:
+            loops[label.strip()] = LoopDirective(
+                pipeline=pipeline, ii=ii, unroll_factor=unroll, flatten=flatten
+            )
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {spec!r}") from None
     arrays: dict[str, ArrayDirective] = {}
     for spec in array_specs or []:
         name, _, directives = spec.partition("=")
@@ -319,9 +350,12 @@ def config_from_specs(
             ) from None
         factor = _spec_int(parts[1], spec) if len(parts) > 1 else 2
         dim = _spec_int(parts[2], spec) if len(parts) > 2 else 1
-        arrays[name.strip()] = ArrayDirective(
-            partition_type=partition_type, factor=factor, dim=dim
-        )
+        try:
+            arrays[name.strip()] = ArrayDirective(
+                partition_type=partition_type, factor=factor, dim=dim
+            )
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {spec!r}") from None
     return PragmaConfig.from_dicts(loops, arrays)
 
 

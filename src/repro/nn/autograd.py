@@ -340,34 +340,44 @@ def _scatter_add(ids: Array, values: Array, num_segments: int) -> Array:
     )
 
 
-def _stable_matmul(a: Array, b: Array) -> Array:
-    """``a @ b`` with batch-size-invariant floating-point results.
+#: rows per GEMM in :func:`_stable_matmul` (64 and 256 are as invariant;
+#: 128 was the fastest on union-sized products)
+MATMUL_BLOCK_ROWS = 128
 
-    BLAS dispatches degenerate products — a single left-hand row (M = 1) or
-    a single right-hand column (N = 1, e.g. the scalar regression heads) —
-    to GEMV-style kernels whose accumulation order differs from the GEMM
-    kernels used for M, N >= 2, so the *same* row can produce
-    last-ulp-different results depending on how many rows it is batched
-    with.  Batched inference relies on per-graph results being independent
-    of batch composition (a design predicted alone, in a worker's shard, or
-    in a full-space union must yield identical bits — see
-    :mod:`repro.dse.sharding`), so degenerate shapes are routed through the
-    general kernel by duplicating the lone row/column and discarding the
-    copy.  For M, N >= 2 each output element is already batch-invariant.
+
+def _stable_matmul(a: Array, b: Array) -> Array:
+    """``a @ b`` whose rows do not depend on how many rows share the product.
+
+    BLAS picks its kernel, and with it the accumulation order, by the row
+    count M, so the same row can come out last-ulp different alone and in
+    a taller matrix (on OpenBLAS 0.3.31, float64 rows move with M for
+    N <= 3 at K >= 16 and for every N at K >= 512).  A design's prediction
+    must not depend on what it is batched with (see "Batch invariance" in
+    ``docs/ARCHITECTURE.md``), so every product runs in fixed-height row
+    blocks: one ``np.matmul`` over the ``(full // B, B, K)`` view plus one
+    zero-padded tail block, each a GEMM of exactly
+    :data:`MATMUL_BLOCK_ROWS` rows.  A single column (N = 1, the scalar
+    regression heads) would run as GEMV, whose sums differ from GEMM's, so
+    it is duplicated and the copy dropped: a lone column then matches the
+    same column inside a wider product.
     """
     if a.ndim != 2 or b.ndim != 2:
         return a @ b
-    pad_m = a.shape[0] == 1
-    pad_n = b.shape[1] == 1
-    if not pad_m and not pad_n:
-        return a @ b
-    left = np.concatenate([a, a], axis=0) if pad_m else a
-    right = np.concatenate([b, b], axis=1) if pad_n else b
-    out = left @ right
-    if pad_m:
-        out = out[:1]
-    if pad_n:
-        out = out[:, :1]
+    if b.shape[1] == 1:
+        return _stable_matmul(a, np.concatenate([b, b], axis=1))[:, :1]
+    rows, inner = a.shape
+    block = MATMUL_BLOCK_ROWS
+    full = rows - rows % block
+    out = np.empty((rows, b.shape[1]), dtype=np.result_type(a, b))
+    if full:
+        np.matmul(
+            a[:full].reshape(full // block, block, inner), b,
+            out=out[:full].reshape(full // block, block, b.shape[1]),
+        )
+    if full < rows:
+        tail = np.zeros((block, inner), dtype=a.dtype)
+        tail[: rows - full] = a[full:]
+        out[full:] = (tail @ b)[: rows - full]
     return out
 
 

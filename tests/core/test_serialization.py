@@ -21,10 +21,7 @@ class TestSaveLoadRoundTrip:
         restored = load_model(path)
         fir = load_kernel("fir")
         config = PragmaConfig.from_dicts(loops={"L0_0": LoopDirective(pipeline=True)})
-        original = small_trained_model.predict(fir, config)
-        recovered = restored.predict(fir, config)
-        for metric in original:
-            assert recovered[metric] == pytest.approx(original[metric], rel=1e-9)
+        assert restored.predict(fir, config) == small_trained_model.predict(fir, config)
 
     def test_round_trip_preserves_architecture(self, small_trained_model, tmp_path):
         path = save_model(small_trained_model, tmp_path / "model.npz")
@@ -139,10 +136,7 @@ class TestWarmCachePersistence:
         _tamper_warm_blob(path, bump_version)
         restored = load_model(path)
         assert not restored._prediction_cache  # blob discarded...
-        served = restored.predict_batch(fir, space)  # ...but predictions fine
-        for want, got in zip(expected, served):
-            for name in want:
-                assert got[name] == pytest.approx(want[name], rel=1e-9)
+        assert restored.predict_batch(fir, space) == expected  # ...bits intact
 
     def test_mismatched_weights_digest_is_rejected(
         self, small_trained_model, tmp_path
@@ -165,7 +159,7 @@ class TestWarmCachePersistence:
     ):
         """A post-restart sweep over *new* configs of a seen kernel must
         hydrate the persisted graph templates (not rebuild them) and match a
-        cold model exactly at 1e-9."""
+        cold model bit for bit."""
         model = small_trained_model
         fir = load_kernel("fir")
         model.predict_batch(fir, _space(fir, count=10, seed=1))
@@ -179,10 +173,7 @@ class TestWarmCachePersistence:
         assert stats.persisted_unit_loads + stats.persisted_outer_loads > 0
 
         cold = load_model(path, warm_caches=False)
-        expected = cold.predict_batch(fir, new_space)
-        for want, got in zip(expected, served):
-            for name in want:
-                assert got[name] == pytest.approx(want[name], rel=1e-9, abs=1e-9)
+        assert served == cold.predict_batch(fir, new_space)
 
     def test_changed_kernel_source_misses_cleanly(
         self, small_trained_model, tmp_path

@@ -27,7 +27,6 @@ from repro.dse import (
     save_checkpoint,
     space_fingerprint,
 )
-from repro.dse.sharding import fronts_match
 from repro.testing import (
     CHECKPOINT_CORRUPTIONS,
     FaultPlan,
@@ -252,7 +251,8 @@ class TestCoordinatorIntegration:
         # clean restart: nothing resumed, nothing stale, correct front
         assert resumed.resumed_configs == 0
         assert sum(shard.completed for shard in resumed.shards) > 0
-        assert fronts_match(reference[1], resumed.front)
+        assert resumed.predictions == reference[0]
+        assert fronts_bit_equal(reference[1], resumed.front)
 
     def test_model_retrain_invalidates_checkpoint(
         self, sharded_model_path, fir_space, tmp_path, small_trained_model

@@ -114,6 +114,12 @@ class TestFaultPlan:
 class TestWorkerFaultRecovery:
     """Killed/stalled/lossy workers: the front is still bit-equal."""
 
+    def test_unharmed_fleet_matches_single_process(self, clean_run, reference):
+        # the differential target itself is the single-process engine's
+        # sweep, bit for bit
+        assert clean_run.predictions == reference[0]
+        assert fronts_bit_equal(clean_run.front, reference[1])
+
     @pytest.mark.parametrize("work_stealing", [False, True])
     def test_killed_worker_bit_equal(
         self, sharded_model_path, fir_space, clean_run, work_stealing

@@ -22,13 +22,7 @@ from repro.dse import (
     partition_space,
     predicted_front,
 )
-from repro.dse.sharding import (
-    PREDICTION_TOLERANCE,
-    SHARD_STRATEGIES,
-    ShardSpec,
-    fronts_match,
-    max_prediction_error,
-)
+from repro.dse.sharding import SHARD_STRATEGIES, ShardSpec
 from repro.nn.autograd import blas_threads
 from repro.testing import FaultPlan, WorkerFault
 
@@ -126,9 +120,7 @@ class TestShardedExplorer:
         ref_predictions, ref_front = reference
         assert result.num_configs == len(fir_space)
         assert result.recovered_configs == 0
-        assert max_prediction_error(
-            ref_predictions, result.predictions
-        ) < PREDICTION_TOLERANCE
+        assert result.predictions == ref_predictions
         # the merge itself adds zero error: merged front == one front fed
         # every streamed prediction, bitwise
         stream_front = predicted_front(fir_space, result.predictions).points()
@@ -136,14 +128,14 @@ class TestShardedExplorer:
             (p.key, p.objectives) for p in stream_front
         ]
         # and it is the same front the single-process engine selects
-        assert fronts_match(ref_front, result.front)
+        assert fronts_bit_equal(ref_front, result.front)
 
     def test_single_worker_degenerates_gracefully(
         self, sharded_model_path, fir_space, reference
     ):
         result = ShardedExplorer(sharded_model_path, num_workers=1).explore(fir_space)
         assert result.num_workers == 1
-        assert fronts_match(reference[1], result.front)
+        assert fronts_bit_equal(reference[1], result.front)
 
     def test_reports_and_cache_stats(self, sharded_model_path, fir_space):
         result = ShardedExplorer(
@@ -173,7 +165,7 @@ class TestShardedExplorer:
         assert result.recovered_configs == crashed.recovered
         # every configuration still got a prediction and the front is intact
         assert len(result.predictions) == len(fir_space)
-        assert fronts_match(reference[1], result.front)
+        assert fronts_bit_equal(reference[1], result.front)
 
     def test_worker_crash_before_any_result(
         self, sharded_model_path, fir_space, reference
@@ -186,7 +178,7 @@ class TestShardedExplorer:
         crashed = result.shards[1]
         assert crashed.failed and crashed.completed == 0
         assert crashed.recovered == crashed.num_configs
-        assert fronts_match(reference[1], result.front)
+        assert fronts_bit_equal(reference[1], result.front)
 
     def test_spawn_context_is_safe(
         self, sharded_model_path, fir_space, reference
@@ -197,10 +189,8 @@ class TestShardedExplorer:
         result = explorer.explore(fir_space)
         assert result.mp_context == "spawn"
         assert result.recovered_configs == 0
-        assert max_prediction_error(
-            reference[0], result.predictions
-        ) < PREDICTION_TOLERANCE
-        assert fronts_match(reference[1], result.front)
+        assert result.predictions == reference[0]
+        assert fronts_bit_equal(reference[1], result.front)
 
     def test_missing_model_fails_before_spawning(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -249,28 +239,31 @@ class TestWorkStealing:
         ref_predictions, ref_front = reference
         assert result.work_stealing
         assert result.recovered_configs == 0
-        assert max_prediction_error(
-            ref_predictions, result.predictions
-        ) < PREDICTION_TOLERANCE
+        assert result.predictions == ref_predictions
         # merged front == one front fed every streamed prediction, bitwise
         stream_front = predicted_front(fir_space, result.predictions).points()
         assert [(p.key, p.objectives) for p in result.front] == [
             (p.key, p.objectives) for p in stream_front
         ]
-        assert fronts_match(ref_front, result.front)
+        assert fronts_bit_equal(ref_front, result.front)
         # every delivered configuration is attributed to some worker
         assert sum(shard.completed for shard in result.shards) == len(fir_space)
 
     def test_skewed_partition_is_rebalanced(
         self, sharded_model_path, fir_space, reference
     ):
+        # worker 0 holds the first chunk it pulls for a second, so the
+        # chunks the skewed shard strands behind it must go to worker 1
         explorer = ShardedExplorer(
             sharded_model_path, num_workers=2, chunk_size=2,
             work_stealing=True, partitioner=skewed_partition,
+            fault_plan=FaultPlan(workers={
+                0: WorkerFault(stall_before_chunk=0, stall_seconds=1.0),
+            }),
         )
         result = explorer.explore(fir_space)
         assert result.recovered_configs == 0
-        assert fronts_match(reference[1], result.front)
+        assert fronts_bit_equal(reference[1], result.front)
         # the queue spreads the skewed shard: no worker scores everything
         completed = sorted(shard.completed for shard in result.shards)
         assert completed[0] > 0
@@ -299,7 +292,7 @@ class TestWorkStealing:
         assert coordinator.completed == 0
         assert coordinator.recovered == result.recovered_configs
         assert len(result.predictions) == len(fir_space)
-        assert fronts_match(reference[1], result.front)
+        assert fronts_bit_equal(reference[1], result.front)
 
     def test_whole_fleet_crash_is_recovered(
         self, sharded_model_path, fir_space, reference
@@ -317,7 +310,7 @@ class TestWorkStealing:
         assert all(shard.failed for shard in worker_reports)
         assert result.recovered_configs == len(fir_space)
         assert result.shards[-1].recovered == len(fir_space)
-        assert fronts_match(reference[1], result.front)
+        assert fronts_bit_equal(reference[1], result.front)
 
     def test_spawn_context_is_safe(
         self, sharded_model_path, fir_space, reference
@@ -328,7 +321,7 @@ class TestWorkStealing:
         ).explore(fir_space)
         assert result.mp_context == "spawn"
         assert result.recovered_configs == 0
-        assert fronts_match(reference[1], result.front)
+        assert fronts_bit_equal(reference[1], result.front)
 
 
 class TestOneBlasThread:
@@ -364,15 +357,15 @@ class TestOversubscribedQueues:
             ).explore(fir_space)
             for work_stealing in (False, True)
         )
-        # same partition, same chunk layout: bit-equal across topologies
-        assert fixed.predictions == stealing.predictions
+        # bit-equal across topologies and to the single-process engine
+        assert fixed.predictions == stealing.predictions == reference[0]
         assert fronts_bit_equal(fixed.front, stealing.front)
         num_classes = fir_space.dedup().num_classes
         for result in (fixed, stealing):
             assert result.num_workers == 4
             assert sum(shard.completed for shard in result.shards) == num_classes
             assert result.recovered_configs == 0
-            assert fronts_match(reference[1], result.front)
+            assert fronts_bit_equal(reference[1], result.front)
         assert not multiprocessing.active_children()
 
 
@@ -395,10 +388,11 @@ def dedup_sharded_run(sharded_model_path, dedup_space):
 class TestDedupAlgebra:
     """The DesignSpace dedup algebra and its sharded-engine guarantees.
 
-    The tightened contract: with canonicalization, every process scores one
-    representative per equivalence class, so sweeps over identical chunk
-    compositions are **bit-identical** — same floats, not merely within
-    tolerance (see the module docstring of ``repro.dse.sharding``).
+    With canonicalization every process scores one representative per
+    equivalence class, and a prediction does not depend on its batch, so
+    sharded sweeps are **bit-identical** to each other and to the
+    single-process engine (see the module docstring of
+    ``repro.dse.sharding``).
     """
 
     def test_classes_partition_the_space(self, dedup_space):
@@ -479,10 +473,10 @@ class TestDedupAlgebra:
         # every member got a prediction despite only reps being scored
         assert len(deduped_run.predictions) == len(dedup_space)
         assert all(p for p in deduped_run.predictions)
-        # fronts agree by membership and order; objectives within tolerance
-        # (the exhaustive union has a different batch composition, so the
-        # comparison is fronts_match, not bit-equality)
-        assert fronts_match(exhaustive_run.front, deduped_run.front)
+        # scoring every member instead of one per class changes the batches,
+        # not a single bit of the predictions or the front
+        assert exhaustive_run.predictions == deduped_run.predictions
+        assert fronts_bit_equal(exhaustive_run.front, deduped_run.front)
 
     def test_repeated_sharded_runs_bit_identical(
         self, sharded_model_path, dedup_space, dedup_sharded_run

@@ -160,6 +160,45 @@ class TestConfigFromSpecs:
         with pytest.raises(ValueError, match=message):
             config_from_specs(loops, arrays)
 
+    @pytest.mark.parametrize("loops, arrays, field", [
+        (["L0=unroll:-3"], [], "unroll"),
+        (["L0=pipeline:-1"], [], "ii"),
+        ([], ["A=cyclic:0"], "factor"),
+        ([], ["A=block:-2"], "factor"),
+        ([], ["A=cyclic:2:0"], "dim"),
+    ])
+    def test_out_of_range_values_raise_value_error(self, loops, arrays, field):
+        spec = (loops or arrays)[0]
+        with pytest.raises(ValueError, match=f"{field} must be .* in '{spec}'"):
+            config_from_specs(loops, arrays)
+
+    def test_zero_unroll_means_full_and_zero_ii_unset(self):
+        config = config_from_specs(["L0=unroll:0", "L1=pipeline:0"], [])
+        assert config.loop("L0").unroll_factor == 0
+        assert config.loop("L1") == LoopDirective(pipeline=True, ii=0)
+
+
+class TestDirectiveRanges:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"unroll_factor": -1}, "unroll"),
+        ({"ii": -1}, "ii"),
+    ])
+    def test_loop_directive_rejects_negative_values(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            LoopDirective(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"factor": 0}, "factor"),
+        ({"partition_type": PartitionType.BLOCK, "factor": -4}, "factor"),
+        ({"dim": 0}, "dim"),
+    ])
+    def test_array_directive_rejects_out_of_range_values(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ArrayDirective(**kwargs)
+
+    def test_complete_partition_ignores_its_factor(self):
+        assert ArrayDirective(PartitionType.COMPLETE, factor=0).describe() == "complete:f0:d1"
+
 
 class TestDirectiveDescriptions:
     def test_loop_directive_describe(self):

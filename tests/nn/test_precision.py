@@ -1,9 +1,11 @@
 """Precision-tier tests: dtype propagation and ``_stable_matmul`` invariance.
 
-The float32 inference tier relies on two properties of the kernel layer:
+The inference tiers rely on two properties of the kernel layer:
 
-* ``_stable_matmul`` keeps degenerate products (M=1 rows, N=1 heads)
-  bit-identical to their batched counterparts — in *both* dtypes;
+* ``_stable_matmul`` gives each row of a product the same bits whether it
+  is computed alone or at any offset inside a taller matrix, and a single
+  column the same bits alone and inside a wider product — in *both*
+  dtypes;
 * every kernel propagates the dtype of its inputs, so a model whose weights
   were cast once at load runs float32 end to end — no silent float64 upcast
   on the forward pass or in the gradients.
@@ -39,7 +41,7 @@ def _elements(dtype: np.dtype) -> st.SearchStrategy[float]:
 
 
 class TestStableMatmulInvariance:
-    """Property tests: degenerate shapes match the general GEMM bitwise."""
+    """A product's rows and lone columns do not depend on what shares it."""
 
     @given(
         k=st.integers(1, 6),
@@ -97,6 +99,29 @@ class TestStableMatmulInvariance:
         assert alone.dtype == dtype
         assert alone.shape == (1, 1)
         assert alone[0, 0] == batched[0, 0]
+
+    @given(
+        m=st.integers(1, 300),
+        k=st.integers(1, 700),
+        n=st.integers(1, 70),
+        above=st.integers(0, 300),
+        below=st.integers(0, 300),
+        name=st.sampled_from(DTYPE_NAMES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_alone_and_at_any_offset(
+        self, m, k, n, above, below, name, seed
+    ):
+        dtype = np.dtype(name)
+        rng = np.random.default_rng(seed)
+        tall = rng.standard_normal((above + m + below, k)).astype(dtype)
+        b = rng.standard_normal((k, n)).astype(dtype)
+        alone = _stable_matmul(tall[above:above + m].copy(), b)
+        inside = _stable_matmul(tall, b)
+        assert alone.dtype == dtype
+        assert alone.shape == (m, n)
+        assert np.array_equal(alone, inside[above:above + m])
 
 
 class TestPrecisionContext:

@@ -3,9 +3,9 @@
 :func:`reference_predict` recomputes one design point of
 :meth:`repro.core.HierarchicalQoRModel.predict_batch` without any of the
 production fast paths: an uncached :func:`~repro.graph.hierarchy.decompose`,
-inner predictions written onto the super nodes with
-:func:`~repro.graph.features.annotate_super_node` (as sequential ``predict``
-does), the dense per-sample encoder of :mod:`reference.encoding`, and a
+inner predictions written onto the super nodes one node at a time with
+:func:`~repro.graph.features.annotate_super_node`, the dense per-sample
+encoder of :mod:`reference.encoding`, and a
 GraphSAGE forward written directly against the trainers' weight arrays — a
 dense one-hot first layer, ``np.add.at`` scatters recomputed on every call,
 unfused bias, relu and residual steps.  No autograd, no scatter-index or

@@ -122,12 +122,15 @@ class ServerHarness:
 
 @pytest.fixture
 def make_server(serve_predictor):
-    """Factory for harnessed servers; everything is torn down afterwards."""
+    """Factory for harnessed servers; everything is torn down afterwards.
+
+    Servers share ``serve_predictor`` unless given their own ``predictor``.
+    """
     harnesses: list[ServerHarness] = []
 
-    def factory(**kwargs) -> ServerHarness:
+    def factory(predictor: QoRPredictor | None = None, **kwargs) -> ServerHarness:
         kwargs.setdefault("port", 0)
-        server = QoRServer(serve_predictor, **kwargs)
+        server = QoRServer(predictor or serve_predictor, **kwargs)
         harness = ServerHarness(server).start()
         harnesses.append(harness)
         return harness

@@ -89,6 +89,25 @@ class TestConfigPayloads:
         with pytest.raises(ProtocolError):
             config_from_payload({"arrays": {"A": {"type": "diagonal"}}})
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"loops": {"L0": {"unroll": -3}}}, "unroll"),
+        ({"loops": ["L0=unroll:-3"]}, "unroll"),
+        ({"loops": {"L0": {"pipeline": True, "ii": -1}}}, "ii"),
+        ({"loops": ["L0=pipeline:-1"]}, "ii"),
+        ({"arrays": {"A": {"type": "cyclic", "factor": 0}}}, "factor"),
+        ({"arrays": ["A=cyclic:0"]}, "factor"),
+        ({"arrays": {"A": {"factor": 2, "dim": 0}}}, "dim"),
+        ({"arrays": ["A=cyclic:2:0"]}, "dim"),
+    ])
+    def test_rejects_out_of_range_values_naming_the_field(self, payload, field):
+        with pytest.raises(ProtocolError, match=f"{field} must be"):
+            config_from_payload(payload)
+
+    def test_zero_unroll_and_ii_keep_their_meaning(self):
+        config = config_from_payload({"loops": {"L0": {"unroll": 0, "ii": 0}}})
+        assert config.loop("L0") == LoopDirective(unroll_factor=0, ii=0)
+        assert config_from_payload({"loops": ["L0=unroll:0"]}) == config
+
     def test_spec_list_with_empty_or_missing_half(self):
         # regression: an explicit empty list (or an absent half) next to a
         # spec-string list must mean "no directives of that kind", not a

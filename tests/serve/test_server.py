@@ -13,8 +13,13 @@ import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
+from repro.core import HierarchicalModelConfig, TrainingConfig, build_design_instances
+from repro.core.predictor import QoRPredictor
+from repro.dse.space import sample_design_space
+from repro.kernels import load_kernels
 from repro.nn.autograd import blas_threads
 from repro.serve import QoRClient, ServeError
 from repro.serve.protocol import decode_message, encode_message
@@ -122,6 +127,31 @@ class TestBadRequests:
                 assert repr(key) in str(excinfo.value), config
             assert client.stats()["server"]["bad_requests"] == len(payloads)
 
+    def test_out_of_range_values_get_bad_request_and_are_counted(self, make_server):
+        """A negative unroll or II, a zero cyclic factor and dimension 0 are
+        rejected in both notations, naming the field — never scored as if
+        the directive were absent — and counted in ``bad_requests``."""
+        harness = make_server()
+        payloads = [
+            ({"loops": {"L0": {"unroll": -3}}}, "unroll"),
+            ({"loops": ["L0=unroll:-3"]}, "unroll"),
+            ({"loops": {"L0": {"pipeline": True, "ii": -1}}}, "ii"),
+            ({"loops": ["L0=pipeline:-1"]}, "ii"),
+            ({"arrays": {"coeff": {"type": "cyclic", "factor": 0}}}, "factor"),
+            ({"arrays": ["coeff=cyclic:0"]}, "factor"),
+            ({"arrays": {"coeff": {"factor": 2, "dim": 0}}}, "dim"),
+            ({"arrays": ["coeff=cyclic:2:0"]}, "dim"),
+        ]
+        with QoRClient(*harness.address) as client:
+            for config, field in payloads:
+                with pytest.raises(ServeError) as excinfo:
+                    client.request({
+                        "type": "predict", "kernel": "fir", "configs": [config],
+                    })
+                assert excinfo.value.code == "bad-request", config
+                assert f"{field} must be" in str(excinfo.value), config
+            assert client.stats()["server"]["bad_requests"] == len(payloads)
+
     def test_invalid_json_line_gets_bad_request_not_disconnect(self, make_server):
         harness = make_server()
         with socket.create_connection(harness.address, timeout=30) as sock:
@@ -188,6 +218,64 @@ class TestCoalescing:
         # an enormous window would stall forever if max_batch didn't flush
         assert results == fir_reference
         assert harness.server.batcher.stats.batches >= 1
+
+
+class TestBatchInvariance:
+    @pytest.fixture(scope="class")
+    def gemm_model_path(self, tmp_path_factory):
+        """A gemm model whose GEMMs are wide enough for BLAS to pick kernels
+        by row count (hidden 32), saved so each server loads a cold copy."""
+        kernels = load_kernels(("gemm",))
+        configs = {
+            "gemm": sample_design_space(
+                kernels["gemm"], 6, rng=np.random.default_rng(0)
+            )
+        }
+        predictor = QoRPredictor(
+            HierarchicalModelConfig(
+                conv_type="graphsage", hidden=32, num_layers=2,
+                training=TrainingConfig(epochs=1, batch_size=16, seed=0),
+            )
+        )
+        predictor.fit_instances(build_design_instances(kernels, configs))
+        return predictor.save(tmp_path_factory.mktemp("invariance") / "gemm.npz")
+
+    def test_design_alone_and_in_a_coalesced_window_get_the_same_bits(
+        self, make_server, gemm_model_path
+    ):
+        configs = sample_design_space(
+            load_kernels(("gemm",))["gemm"], 12, rng=np.random.default_rng(11)
+        )
+        alone_server = make_server(predictor=QoRPredictor.load(gemm_model_path))
+        with QoRClient(*alone_server.address) as client:
+            alone = [client.predict_kernel("gemm", [config])[0] for config in configs]
+        assert alone_server.server.batcher.stats.coalesced_batches == 0
+
+        shared_server = make_server(
+            predictor=QoRPredictor.load(gemm_model_path), batch_window_ms=250.0
+        )
+        shared: dict[int, dict] = {}
+        barrier = threading.Barrier(len(configs))
+
+        def send(index: int) -> None:
+            with QoRClient(*shared_server.address) as client:
+                barrier.wait(timeout=30)
+                shared[index] = client.predict_kernel("gemm", [configs[index]])[0]
+
+        threads = [
+            threading.Thread(target=send, args=(index,))
+            for index in range(len(configs))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert shared_server.server.batcher.stats.coalesced_batches >= 1
+        assert len(shared) == len(configs)
+        for index, row in enumerate(alone):
+            assert {name: value.hex() for name, value in shared[index].items()} == {
+                name: value.hex() for name, value in row.items()
+            }, index
 
 
 class TestAdmissionControl:

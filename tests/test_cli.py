@@ -42,6 +42,10 @@ class TestConfigParsing:
         with pytest.raises(SystemExit):
             parse_config(["L0=dataflow"], [])
 
+    def test_out_of_range_value_rejected(self):
+        with pytest.raises(SystemExit, match="unroll must be"):
+            parse_config(["L0=unroll:-3"], [])
+
     def test_empty_specs_give_baseline(self):
         assert parse_config([], []).describe() == "baseline"
 
@@ -170,11 +174,6 @@ class TestCommands:
     def test_dse_workers_require_model(self):
         with pytest.raises(SystemExit, match="--workers requires --model"):
             main(["dse", "--kernel", "fir", "--workers", "2"])
-
-    def test_dse_workers_exclude_sequential(self):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["dse", "--kernel", "fir", "--workers", "2",
-                  "--sequential", "--model", "whatever.npz"])
 
 
 class TestInterrupts:
