@@ -21,9 +21,9 @@ Four subcommands cover the library's main workflows:
 
 ``repro-qor serve``
     Keep one trained predictor resident and serve QoR predictions to many
-    concurrent clients over newline-delimited JSON TCP.  Requests arriving
-    within a short window are coalesced into shared batched inference
-    passes (see :mod:`repro.serve`); SIGINT/SIGTERM drain gracefully.
+    concurrent clients over newline-delimited JSON TCP.  Requests that
+    queue while an inference pass runs are coalesced into the next shared
+    batched pass (see :mod:`repro.serve`); SIGINT/SIGTERM drain gracefully.
 
 Run ``python -m repro.cli --help`` for the full option list.
 """
@@ -316,7 +316,6 @@ async def _serve_main(args: argparse.Namespace) -> int:
         predictor,
         host=args.host,
         port=args.port,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
@@ -349,10 +348,6 @@ async def _serve_main(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro-qor serve``: the resident prediction daemon."""
-    if args.batch_window_ms < 0:
-        raise SystemExit(
-            f"--batch-window-ms must be >= 0, got {args.batch_window_ms}"
-        )
     if args.max_batch < 1:
         raise SystemExit(f"--max-batch must be >= 1, got {args.max_batch}")
     if args.max_pending < 1:
@@ -485,13 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port to listen on (0 picks a free port, "
                             "reported on the 'serving on HOST:PORT' line)")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="cross-request coalescing window: how long the "
-                            "first request of a batch waits for company "
-                            "before the shared inference pass runs")
     serve.add_argument("--max-batch", type=int, default=512,
-                       help="flush a batch early once this many "
-                            "configurations have accumulated")
+                       help="stop adding queued requests to an inference "
+                            "pass once it holds this many configurations")
     serve.add_argument("--max-pending", type=int, default=4096,
                        help="admission-control bound: total configurations "
                             "allowed in flight before new requests are "

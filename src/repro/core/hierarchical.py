@@ -66,8 +66,7 @@ class _OuterSampleTemplate:
     #: super-node row ids per inner-unit loop label
     super_rows: dict[str, np.ndarray]
     #: per super-node row, the ``invocations`` factor of the ``work`` feature
-    #: (a never-written 0.0 count reads as 1.0, as in
-    #: :func:`~repro.graph.features.annotate_super_node`)
+    #: (a never-written 0.0 count reads as 1.0)
     work_invocations: dict[str, np.ndarray]
 
 
@@ -483,9 +482,9 @@ class HierarchicalQoRModel:
 
         Writes each inner unit's predicted QoR into the super-node rows of a
         fresh copy of the template's pristine feature matrix — value-for-value
-        identical to annotating the graph with
-        :func:`~repro.graph.features.annotate_super_node` and re-extracting,
-        without touching the graph.
+        identical to writing the same columns into the graph's own feature
+        block and re-extracting (what ``reference_predict`` under
+        ``tests/reference/`` does), without touching the graph.
         """
         matrix = template.base_features.copy()
         for label, unit_key in unit_keys:

@@ -26,7 +26,6 @@ from repro.graph.construction import (
 )
 from repro.graph.features import (
     analytical_ii,
-    annotate_super_node,
     loop_level_features,
     replicated_access_counts,
 )
@@ -46,7 +45,7 @@ __all__ = [
     "GraphBuilder", "IOPORT_OPTYPE", "SUPER_NONPIPELINED_OPTYPE",
     "SUPER_PIPELINED_OPTYPE", "build_flat_graph", "build_loop_subgraph",
     "naive_emission",
-    "analytical_ii", "annotate_super_node", "loop_level_features",
+    "analytical_ii", "loop_level_features",
     "replicated_access_counts",
     "HierarchicalDecomposition", "InnerLoopUnit", "InnerUnitCategory",
     "classify_inner_units", "decompose",

@@ -3,8 +3,7 @@
 Node features (Table II) are annotated during graph construction; this module
 adds the *loop-level* features that differentiate pipelined from
 non-pipelined loops — initiation interval (II), trip count (TC) and the
-pipelining flag — plus helpers for annotating super nodes with the QoR
-predicted for their inner loop.
+pipelining flag.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 
 from repro.frontend.pragmas import PragmaConfig
-from repro.graph.cdfg import CDFG, FEATURE_COLUMN as _COLUMN, LoopLevelFeatures
+from repro.graph.cdfg import LoopLevelFeatures
 from repro.hls.directives import all_array_ports, effective_unroll_factors
 from repro.hls.op_library import DEFAULT_LIBRARY, OperatorLibrary
 from repro.hls.scheduling import initiation_interval
@@ -121,36 +120,6 @@ def loop_level_features(
     )
 
 
-def annotate_super_node(
-    graph: CDFG,
-    node_id: int,
-    *,
-    latency: float,
-    lut: float,
-    ff: float,
-    dsp: float,
-    iteration_latency: float = 0.0,
-) -> None:
-    """Attach predicted QoR of an inner loop to its super node (Fig. 3).
-
-    The super node keeps the full Table II feature set; latency maps onto the
-    ``cycles`` feature and the predicted resources onto ``lut``/``dsp``/``ff``.
-    The annotation writes straight into the graph's feature block; a
-    never-written (0.0) ``invocations`` count scales ``work`` as 1.
-    """
-    row = graph.feat.matrix[node_id]
-    row[_COLUMN["cycles"]] = float(latency)
-    row[_COLUMN["delay"]] = float(iteration_latency)
-    row[_COLUMN["lut"]] = float(lut)
-    row[_COLUMN["dsp"]] = float(dsp)
-    row[_COLUMN["ff"]] = float(ff)
-    invocations = float(row[_COLUMN["invocations"]])
-    row[_COLUMN["work"]] = float(latency) * (
-        invocations if invocations != 0.0 else 1.0
-    )
-
-
 __all__ = [
     "replicated_access_counts", "analytical_ii", "loop_level_features",
-    "annotate_super_node",
 ]

@@ -6,13 +6,14 @@ but a network service receives that space *scattered across clients*: many
 connections, each asking about a handful of configurations.  Scoring each
 request alone would forfeit exactly the batching the engine was built for.
 
-:class:`MicroBatcher` recovers it.  Requests that arrive within a short
-coalescing window (default ~2 ms, flushed early once ``max_batch``
-configurations have accumulated) are merged: all configurations for the
-same kernel source become **one** disjoint-union ``predict_batch`` pass,
-and the results are demultiplexed back onto each request's future.  The
-window is the classic micro-batching trade — a fixed, bounded latency floor
-purchased for multiplicative throughput under concurrency.
+:class:`MicroBatcher` recovers it without a timer.  A pass starts as soon
+as the inference thread is free and takes the first queued request plus
+everything already queued behind it (up to ``max_batch`` configurations;
+a request is never split): all configurations for the same kernel source
+become **one** disjoint-union ``predict_batch`` pass, and the results are
+demultiplexed back onto each request's future.  A lone request on an idle
+batcher is scored at once; requests that arrive while a pass runs queue up
+and ride the next pass together, so the batches grow with the load.
 
 Model calls run on a dedicated single-thread executor, which is what makes
 a resident predictor safe to share between clients at all: the model's
@@ -21,7 +22,7 @@ memo dictionaries are not thread-safe, so the batcher **serializes** every
 while the asyncio front end keeps accepting and parsing traffic.
 
 With a ``signature_fn`` (the server wires
-:meth:`QoRPredictor.canonical_signature`), each flushed pass also
+:meth:`QoRPredictor.canonical_signature`), each pass also
 **deduplicates across requests**: configurations whose effective
 (canonicalized) directives coincide are scored once and the shared result
 is fanned back out to every submitter — the serve-side face of the design
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class _Pending:
-    """One admitted request waiting for a flush."""
+    """One admitted request waiting for a pass."""
 
     source: str
     configs: list
@@ -95,10 +96,9 @@ class MicroBatcher:
 
     ``predict_fn(source, configs) -> list[dict]`` is the blocking scorer
     (typically ``QoRPredictor.predict_source_batch``); it only ever runs on
-    the batcher's single inference thread.  ``window_seconds`` is how long
-    the first request of a batch waits for company; ``max_batch`` flushes a
-    batch early once that many configurations have accumulated, bounding
-    both latency and the size of one disjoint-union pass.
+    the batcher's single inference thread.  A pass takes what is queued
+    when the inference thread frees up, until ``max_batch`` configurations
+    have accumulated; that bounds the size of one disjoint-union pass.
 
     ``signature_fn(source, config) -> str``, when given, deduplicates each
     pass: configurations sharing a signature are scored once and the result
@@ -112,7 +112,6 @@ class MicroBatcher:
         self,
         predict_fn,
         *,
-        window_seconds: float = 0.002,
         max_batch: int = 512,
         executor: ThreadPoolExecutor | None = None,
         signature_fn=None,
@@ -121,7 +120,6 @@ class MicroBatcher:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._predict_fn = predict_fn
         self._signature_fn = signature_fn
-        self.window_seconds = max(0.0, window_seconds)
         self.max_batch = max_batch
         self._executor = executor or ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="qor-inference"
@@ -192,23 +190,15 @@ class MicroBatcher:
     # batch loop
     # ------------------------------------------------------------------ #
     async def _collect(self) -> list[_Pending]:
-        """Gather one batch: first entry, then company within the window."""
+        """Gather one batch: the first entry plus whatever queued behind it."""
         first = await self._queue.get()
         if first is None:
             return []
         batch = [first]
         size = len(first.configs)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.window_seconds
-        while size < self.max_batch:
-            timeout = deadline - loop.time()
-            if timeout <= 0:
-                break
-            try:
-                entry = await asyncio.wait_for(self._queue.get(), timeout)
-            except asyncio.TimeoutError:
-                break
-            if entry is None:  # stop sentinel mid-window: flush what we have
+        while size < self.max_batch and not self._queue.empty():
+            entry = self._queue.get_nowait()
+            if entry is None:  # stop sentinel: flush what we have
                 break
             batch.append(entry)
             size += len(entry.configs)

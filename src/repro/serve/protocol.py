@@ -107,11 +107,29 @@ def config_to_payload(config: PragmaConfig) -> dict:
     return {"loops": loops, "arrays": arrays}
 
 
-def _integral(value) -> int:
-    """``value`` as an int; a non-integral number is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+def _integral(spec: dict, key: str, default: int) -> int:
+    """``spec[key]`` as an int: only an integral JSON number is accepted.
+
+    A boolean, a string or a non-integral number is rejected naming the
+    field, never coerced (``"2"`` or ``true`` would score a design nobody
+    asked for); an integral float such as ``4.0`` reads as 4.
+    """
+    value = spec.get(key, default)
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ProtocolError(f"{key} must be an integer, got {value!r}")
+
+
+def _flag(spec: dict, key: str) -> bool:
+    """``spec[key]`` as a bool: only a JSON boolean is accepted.
+
+    ``"false"`` or ``0`` is rejected naming the field rather than read by
+    truthiness (``bool("false")`` would switch the directive on).
+    """
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 #: the keys each object of the dict form may carry (``unroll_factor`` is an
@@ -138,10 +156,12 @@ def _loop_from_spec(spec: dict) -> LoopDirective:
     _reject_unknown_keys(spec, _LOOP_KEYS, "loop directive")
     try:
         return LoopDirective(
-            pipeline=bool(spec.get("pipeline", False)),
-            ii=_integral(spec.get("ii", 0)),
-            unroll_factor=_integral(spec.get("unroll", spec.get("unroll_factor", 1))),
-            flatten=bool(spec.get("flatten", False)),
+            pipeline=_flag(spec, "pipeline"),
+            ii=_integral(spec, "ii", 0),
+            unroll_factor=_integral(
+                spec, "unroll" if "unroll" in spec else "unroll_factor", 1
+            ),
+            flatten=_flag(spec, "flatten"),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid loop directive {spec!r}: {exc}") from exc
@@ -154,8 +174,8 @@ def _array_from_spec(spec: dict) -> ArrayDirective:
     try:
         return ArrayDirective(
             partition_type=PartitionType(str(spec.get("type", "cyclic")).lower()),
-            factor=_integral(spec.get("factor", 1)),
-            dim=_integral(spec.get("dim", 1)),
+            factor=_integral(spec, "factor", 1),
+            dim=_integral(spec, "dim", 1),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid array directive {spec!r}: {exc}") from exc
@@ -168,8 +188,10 @@ def config_from_payload(payload) -> PragmaConfig:
     the CLI's spec-string form (``loops``/``arrays`` as lists of strings
     like ``"L0=pipeline+unroll:2"`` / ``"A=cyclic:4:2"``), ``None`` / ``{}``
     for the baseline configuration, and raises :class:`ProtocolError` for
-    everything else — including numbers that are not integers and unknown
-    keys (a misspelt ``"unrol"`` would otherwise score the baseline design).
+    everything else — including unknown keys (a misspelt ``"unrol"`` would
+    otherwise score the baseline design), and values of the wrong JSON type:
+    ``pipeline``/``flatten`` must be booleans and ``unroll``/``ii``/
+    ``factor``/``dim`` integral numbers.
     """
     if payload is None:
         return PragmaConfig()

@@ -11,15 +11,17 @@ The architecture is an asyncio front end over a single inference thread:
 
 * **asyncio front end** — accepts connections, parses/validates requests
   and writes responses concurrently; it never touches the model.
-* **micro-batcher** (:mod:`repro.serve.batcher`) — coalesces concurrent
-  requests into shared ``predict_batch`` passes and, crucially,
-  *serializes* every model call on one dedicated thread: the predictor's
-  memo dictionaries are plain dicts and are not thread-safe.  The
-  ``repro-qor serve`` daemon runs that thread on one BLAS thread (set
-  before the model loads): an idle OpenBLAS pool thread spin-waits after
-  each threaded GEMM, on the core the event loop needs.  This class leaves
-  the pool size alone — it is process-wide, and served bits do not depend
-  on it — and reports it as ``blas_threads`` in ``stats``.
+* **micro-batcher** (:mod:`repro.serve.batcher`) — merges the requests
+  that queued while the previous pass ran into one shared
+  ``predict_batch`` pass (a request on an idle server is scored at once,
+  with no timed wait) and, crucially, *serializes* every model call on one
+  dedicated thread: the predictor's memo dictionaries are plain dicts and
+  are not thread-safe.  The ``repro-qor serve`` daemon runs that thread on
+  one BLAS thread (set before the model loads): an idle OpenBLAS pool
+  thread spin-waits after each threaded GEMM, on the core the event loop
+  needs.  This class leaves the pool size alone — it is process-wide, and
+  served bits do not depend on it — and reports it as ``blas_threads`` in
+  ``stats``.
 * **admission control** — a bounded count of pending configurations
   (``max_pending``); past it, new work is rejected immediately with a
   structured ``overloaded`` error rather than queued into unbounded memory.
@@ -66,7 +68,6 @@ class QoRServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window_ms: float = 2.0,
         max_batch: int = 512,
         max_pending: int = 4096,
         idle_timeout: float | None = 300.0,
@@ -79,11 +80,10 @@ class QoRServer:
         self.idle_timeout = idle_timeout
         self.max_line_bytes = max_line_bytes
         # signature_fn makes the batcher dedup-aware: HLS-equivalent pragma
-        # configurations submitted by different clients in one window are
+        # configurations submitted by different clients in one pass are
         # scored once under their shared canonical signature
         self.batcher = MicroBatcher(
             predictor.predict_source_batch,
-            window_seconds=batch_window_ms / 1000.0,
             max_batch=max_batch,
             signature_fn=predictor.canonical_signature,
         )

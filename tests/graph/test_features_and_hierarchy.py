@@ -1,4 +1,4 @@
-"""Tests for loop-level features, super-node annotation and decomposition."""
+"""Tests for loop-level features and the loop-hierarchy decomposition."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.graph import (
     InnerUnitCategory,
     NodeKind,
     analytical_ii,
-    annotate_super_node,
     classify_inner_units,
     decompose,
     loop_level_features,
@@ -16,7 +15,7 @@ from repro.graph import (
 from repro.ir import lower_source
 from repro.kernels import load_kernel
 
-from cdfg_queries import feature, nodes_of_kind
+from cdfg_queries import nodes_of_kind
 
 
 class TestLoopLevelFeatures:
@@ -67,23 +66,6 @@ class TestLoopLevelFeatures:
         )
         assert not features.pipelined
         assert features.ii == 1
-
-
-class TestSuperNodeAnnotation:
-    def test_annotation_sets_features(self, gemm_function):
-        decomposition = decompose(gemm_function, PragmaConfig())
-        unit = decomposition.inner_units[0]
-        node_ids = decomposition.super_node_ids(unit.label)
-        annotate_super_node(
-            decomposition.outer_graph, node_ids[0],
-            latency=1234.0, lut=56.0, ff=78.0, dsp=9.0, iteration_latency=10.0,
-        )
-        graph, node = decomposition.outer_graph, node_ids[0]
-        assert feature(graph, node, "cycles") == 1234.0
-        assert feature(graph, node, "lut") == 56.0
-        assert feature(graph, node, "work") == 1234.0 * feature(
-            graph, node, "invocations"
-        )
 
 
 class TestInnerUnitClassification:

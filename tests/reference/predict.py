@@ -4,7 +4,7 @@
 :meth:`repro.core.HierarchicalQoRModel.predict_batch` without any of the
 production fast paths: an uncached :func:`~repro.graph.hierarchy.decompose`,
 inner predictions written onto the super nodes one node at a time with
-:func:`~repro.graph.features.annotate_super_node`, the dense per-sample
+:func:`annotate_super_node`, the dense per-sample
 encoder of :mod:`reference.encoding`, and a
 GraphSAGE forward written directly against the trainers' weight arrays — a
 dense one-hot first layer, ``np.add.at`` scatters recomputed on every call,
@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.dataset import graph_to_sample
 from repro.core.models import FEATURE_TOTAL_DIM, InnerLoopGNN
 from repro.frontend.pragmas import PragmaConfig
-from repro.graph.features import annotate_super_node
+from repro.graph.cdfg import CDFG, FEATURE_COLUMN
 from repro.graph.hierarchy import decompose
 from repro.nn.message_passing import SAGEConv
 
@@ -110,6 +110,37 @@ def _trainer_predict(trainer, sample) -> dict[str, float]:
         name: float(trainer.target_scalers[name].inverse(outputs[name].reshape(-1))[0])
         for name in trainer.target_names
     }
+
+
+def annotate_super_node(
+    graph: CDFG,
+    node_id: int,
+    *,
+    latency: float,
+    lut: float,
+    ff: float,
+    dsp: float,
+    iteration_latency: float = 0.0,
+) -> None:
+    """Attach predicted QoR of an inner loop to its super node (Fig. 3).
+
+    The super node keeps the full Table II feature set; latency maps onto the
+    ``cycles`` feature and the predicted resources onto ``lut``/``dsp``/``ff``.
+    The annotation writes straight into the graph's feature block; a
+    never-written (0.0) ``invocations`` count scales ``work`` as 1.  The
+    production outer-sample templates write the same columns into a copy of
+    the feature matrix instead.
+    """
+    row = graph.feat.matrix[node_id]
+    row[FEATURE_COLUMN["cycles"]] = float(latency)
+    row[FEATURE_COLUMN["delay"]] = float(iteration_latency)
+    row[FEATURE_COLUMN["lut"]] = float(lut)
+    row[FEATURE_COLUMN["dsp"]] = float(dsp)
+    row[FEATURE_COLUMN["ff"]] = float(ff)
+    invocations = float(row[FEATURE_COLUMN["invocations"]])
+    row[FEATURE_COLUMN["work"]] = float(latency) * (
+        invocations if invocations != 0.0 else 1.0
+    )
 
 
 def reference_predict(model, function, config: PragmaConfig | None = None) -> dict[str, float]:

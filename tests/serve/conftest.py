@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -68,6 +69,30 @@ def fir_reference(serve_predictor, fir_sweep):
     return [{name: float(value) for name, value in row.items()} for row in results]
 
 
+class PassGate:
+    """Hold a server's first inference pass until :meth:`release`.
+
+    Wraps the batcher's ``predict_fn``: the first pass blocks the inference
+    thread on an event, so requests sent meanwhile stay queued — their
+    configurations counted as pending — and all ride the next pass once the
+    test releases the held one.  ``held`` is set while the first pass waits.
+    """
+
+    def __init__(self, predict_fn):
+        self._predict_fn = predict_fn
+        self.held = threading.Event()
+        self._released = threading.Event()
+
+    def __call__(self, source, configs):
+        if not self.held.is_set():
+            self.held.set()
+            self._released.wait(timeout=120)
+        return self._predict_fn(source, configs)
+
+    def release(self) -> None:
+        self._released.set()
+
+
 class ServerHarness:
     """Run a :class:`QoRServer` on a background thread's event loop.
 
@@ -76,8 +101,9 @@ class ServerHarness:
     joins the thread.
     """
 
-    def __init__(self, server: QoRServer):
+    def __init__(self, server: QoRServer, gate: PassGate | None = None):
         self.server = server
+        self.gate = gate
         self.address: tuple[str, int] | None = None
         self._loop = asyncio.new_event_loop()
         self._started = threading.Event()
@@ -113,7 +139,19 @@ class ServerHarness:
     def call_soon(self, fn) -> None:
         self._loop.call_soon_threadsafe(fn)
 
+    @staticmethod
+    def wait_until(predicate, timeout: float = 30.0) -> bool:
+        """Poll ``predicate`` every 5 ms until it holds or ``timeout`` passes."""
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.005)
+        return True
+
     def stop(self) -> None:
+        if self.gate is not None:
+            self.gate.release()  # a held pass would stall the drain
         if self._thread.is_alive():
             self._loop.call_soon_threadsafe(self._stop_event.set)
             self._thread.join(timeout=60)
@@ -125,13 +163,23 @@ def make_server(serve_predictor):
     """Factory for harnessed servers; everything is torn down afterwards.
 
     Servers share ``serve_predictor`` unless given their own ``predictor``.
+    ``hold_first_pass=True`` puts a :class:`PassGate` on the server's
+    batcher, reachable as ``harness.gate``.
     """
     harnesses: list[ServerHarness] = []
 
-    def factory(predictor: QoRPredictor | None = None, **kwargs) -> ServerHarness:
+    def factory(
+        predictor: QoRPredictor | None = None,
+        hold_first_pass: bool = False,
+        **kwargs,
+    ) -> ServerHarness:
         kwargs.setdefault("port", 0)
         server = QoRServer(predictor or serve_predictor, **kwargs)
-        harness = ServerHarness(server).start()
+        gate = None
+        if hold_first_pass:
+            gate = PassGate(server.batcher._predict_fn)
+            server.batcher._predict_fn = gate
+        harness = ServerHarness(server, gate).start()
         harnesses.append(harness)
         return harness
 

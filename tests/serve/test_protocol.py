@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import parse_config
 from repro.frontend import (
@@ -20,6 +22,45 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
 )
+
+
+def _is_integral_number(value) -> bool:
+    """An integral JSON number that is not a boolean."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
+#: any JSON value a field of the dict form might be sent
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8)
+    | st.sampled_from([1.0, 2.0, 4.0, 2.5, float("inf"), float("nan")])
+    | st.text(max_size=3) | st.sampled_from(["true", "false", "2", "4"]),
+    lambda children: st.lists(children, max_size=2)
+    | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=3,
+)
+_DICT_FORM_PAYLOADS = st.fixed_dictionaries({
+    "loops": st.dictionaries(
+        st.sampled_from(["L0", "L0_0"]),
+        st.fixed_dictionaries({}, optional={
+            key: _JSON_VALUES
+            for key in ("pipeline", "ii", "unroll", "unroll_factor", "flatten")
+        }),
+        max_size=2,
+    ),
+    "arrays": st.dictionaries(
+        st.sampled_from(["A", "B"]),
+        st.fixed_dictionaries({}, optional={
+            "type": st.sampled_from(["cyclic", "block", "complete"]),
+            "factor": _JSON_VALUES,
+            "dim": _JSON_VALUES,
+        }),
+        max_size=2,
+    ),
+})
 
 
 class TestFraming:
@@ -146,6 +187,50 @@ class TestConfigPayloads:
     def test_integral_floats_are_accepted(self):
         config = config_from_payload({"loops": {"L0": {"unroll": 2.0}}})
         assert config.loop("L0").unroll_factor == 2
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"loops": {"L0": {"pipeline": "false"}}}, "pipeline"),
+        ({"loops": {"L0": {"flatten": "no"}}}, "flatten"),
+        ({"loops": {"L0": {"pipeline": 1}}}, "pipeline"),
+        ({"loops": {"L0": {"unroll": True}}}, "unroll"),
+        ({"loops": {"L0": {"unroll": "2"}}}, "unroll"),
+        ({"loops": {"L0": {"unroll_factor": "2"}}}, "unroll_factor"),
+        ({"loops": {"L0": {"pipeline": True, "ii": True}}}, "ii"),
+        ({"arrays": {"A": {"factor": True}}}, "factor"),
+        ({"arrays": {"A": {"factor": "4"}}}, "factor"),
+        ({"arrays": {"A": {"factor": 2, "dim": "1"}}}, "dim"),
+    ])
+    def test_rejects_wrongly_typed_values_naming_the_field(self, payload, field):
+        # read by truthiness or int(), "false" would pipeline the loop and
+        # "2" or true would score a design nobody asked for
+        with pytest.raises(ProtocolError, match=f"{field} must be"):
+            config_from_payload(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_DICT_FORM_PAYLOADS)
+    def test_accepted_payloads_carry_json_types(self, payload):
+        """Whatever the dict form accepts was typed as the field demands:
+        booleans for the flags, integral non-boolean numbers for the rest."""
+        try:
+            config = config_from_payload(payload)
+        except ProtocolError:
+            return
+        for label, spec in payload["loops"].items():
+            directive = config.loop(label)
+            for key in ("pipeline", "flatten"):
+                if key in spec:
+                    assert spec[key] is getattr(directive, key)
+            unroll_key = "unroll" if "unroll" in spec else "unroll_factor"
+            for key, value in ((unroll_key, directive.unroll_factor),
+                               ("ii", directive.ii)):
+                if key in spec:
+                    assert _is_integral_number(spec[key]) and spec[key] == value
+        for name, spec in payload["arrays"].items():
+            directive = config.array(name)
+            for key in ("factor", "dim"):
+                if key in spec:
+                    assert _is_integral_number(spec[key])
+                    assert spec[key] == getattr(directive, key)
 
     @pytest.mark.parametrize("payload, key", [
         ({"loops": {"L0": {"unrol": 4}}}, "unrol"),

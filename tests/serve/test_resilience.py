@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from random import Random
 
 import pytest
@@ -125,7 +126,7 @@ class TestRetryIntegration:
     def test_client_rides_out_overload(self, make_server, fir_sweep, fir_reference):
         # capacity admits one request at a time; a patient client retries
         # through the rejection and still gets the right answer
-        harness = make_server(batch_window_ms=200.0, max_pending=len(fir_sweep))
+        harness = make_server(hold_first_pass=True, max_pending=len(fir_sweep))
         results: list = []
         errors: list = []
 
@@ -142,6 +143,11 @@ class TestRetryIntegration:
         threads = [threading.Thread(target=ask, args=(i,)) for i in range(3)]
         for thread in threads:
             thread.start()
+        # one request holds the whole bound while its pass is held, so the
+        # other clients are turned away before it is released
+        assert harness.gate.held.wait(timeout=30)
+        assert harness.wait_until(lambda: harness.server.rejected_overload >= 2)
+        harness.gate.release()
         for thread in threads:
             thread.join(timeout=120)
         assert not errors
@@ -165,11 +171,29 @@ class TestConnectionHygiene:
     def test_in_flight_requests_are_not_culled(
         self, make_server, fir_sweep, fir_reference
     ):
-        # the batch window exceeds the idle timeout: a connection waiting on
-        # its own pending request must not count as idle
-        harness = make_server(batch_window_ms=600.0, idle_timeout=0.2)
-        with QoRClient(*harness.address, request_attempts=1) as client:
-            assert client.predict_kernel("fir", fir_sweep) == fir_reference
+        # the request's pass is held past the idle timeout: a connection
+        # waiting on its own pending request must not count as idle, while
+        # a silent connection opened after it is culled meanwhile
+        idle_timeout = 0.2
+        harness = make_server(hold_first_pass=True, idle_timeout=idle_timeout)
+        results: list = []
+
+        def ask() -> None:
+            with QoRClient(*harness.address, request_attempts=1) as client:
+                results.append(client.predict_kernel("fir", fir_sweep))
+
+        thread = threading.Thread(target=ask)
+        thread.start()
+        assert harness.gate.held.wait(timeout=30)
+        held_at = time.monotonic()
+        with socket.create_connection(harness.address, timeout=30):
+            assert harness.wait_until(lambda: harness.server.idle_disconnects >= 1)
+        assert time.monotonic() - held_at > idle_timeout
+        assert harness.server.idle_disconnects == 1
+        harness.gate.release()
+        thread.join(timeout=120)
+        # one attempt, so a culled connection would have raised instead
+        assert results == [fir_reference]
 
     def test_oversized_line_structured_rejection(self, make_server):
         harness = make_server(max_line_bytes=4096)

@@ -22,7 +22,7 @@ from repro.dse.space import sample_design_space
 from repro.kernels import load_kernels
 from repro.nn.autograd import blas_threads
 from repro.serve import QoRClient, ServeError
-from repro.serve.protocol import decode_message, encode_message
+from repro.serve.protocol import config_to_payload, decode_message, encode_message
 
 
 class TestBasics:
@@ -84,15 +84,17 @@ class TestBadRequests:
             assert client.ping()
 
     def test_malformed_directive_values_get_bad_request(self, make_server):
-        """Unparseable numbers and partition types, in either configuration
-        form, are answered with ``bad-request`` — not dropped unanswered,
-        and not truncated into a different design."""
+        """Unparseable numbers, partition types and wrongly typed values, in
+        either configuration form, are answered with ``bad-request`` — not
+        dropped unanswered, and not coerced into a different design."""
         harness = make_server()
         payloads = [
             {"loops": ["L0=unroll:x"]},
             {"loops": {"L0": {"unroll": 2.5}}},
+            {"loops": {"L0": {"pipeline": "false"}}},
             {"arrays": ["A=foo:2"]},
             {"arrays": ["A=cyclic:two"]},
+            {"arrays": {"coeff": {"factor": "4"}}},
         ]
         with socket.create_connection(harness.address, timeout=10) as sock:
             handle = sock.makefile("rb")
@@ -168,24 +170,25 @@ class TestCoalescing:
     def test_concurrent_requests_share_batches_and_demux_correctly(
         self, make_server, fir_sweep, fir_reference
     ):
-        """Many clients in one window -> fewer passes, right answers to each.
+        """Requests queued behind a running pass ride the next one together.
 
-        A generous window guarantees requests launched together coalesce;
-        every client asks for a *different* slice of the sweep, so getting
-        the right bits back proves the demultiplexing, not just the math.
+        The first client's pass is held until every other client's request
+        is queued, so the pass after it must carry all of them; every client
+        asks for a *different* slice of the sweep, so getting the right bits
+        back proves the demultiplexing, not just the math.
         """
-        harness = make_server(batch_window_ms=250.0)
-        num_clients = 8
-        outcomes: dict[int, list[dict]] = {}
+        harness = make_server(hold_first_pass=True)
+        num_clients, per_client = 8, 3
+        outcomes: dict[int, tuple[list[int], list[dict]]] = {}
         errors: list[Exception] = []
-        barrier = threading.Barrier(num_clients)
 
         def worker(index: int) -> None:
             # distinct per-client slice, cycling through the sweep
-            picks = [(index + offset) % len(fir_sweep) for offset in range(3)]
+            picks = [
+                (index + offset) % len(fir_sweep) for offset in range(per_client)
+            ]
             try:
                 with QoRClient(*harness.address) as client:
-                    barrier.wait(timeout=30)
                     outcomes[index] = (
                         picks,
                         client.predict_kernel("fir", [fir_sweep[p] for p in picks]),
@@ -197,8 +200,15 @@ class TestCoalescing:
             threading.Thread(target=worker, args=(index,))
             for index in range(num_clients)
         ]
-        for thread in threads:
+        threads[0].start()
+        assert harness.gate.held.wait(timeout=30)
+        for thread in threads[1:]:
             thread.start()
+        # every request is pending: one in the held pass, the rest queued
+        assert harness.wait_until(
+            lambda: harness.server._pending_configs == num_clients * per_client
+        )
+        harness.gate.release()
         for thread in threads:
             thread.join(timeout=120)
         assert not errors
@@ -207,17 +217,44 @@ class TestCoalescing:
             assert results == [fir_reference[p] for p in picks]
         stats = harness.server.batcher.stats
         assert stats.requests == num_clients
-        # the window merged concurrent clients into shared passes
-        assert stats.coalesced_batches >= 1
-        assert stats.batches < num_clients
+        # the held pass, then one pass with everything queued behind it
+        assert stats.batches == 2
+        assert stats.coalesced_batches == 1
+        assert stats.batch_size_histogram == {
+            per_client: 1, (num_clients - 1) * per_client: 1,
+        }
 
     def test_max_batch_flushes_early(self, make_server, fir_sweep, fir_reference):
-        harness = make_server(batch_window_ms=10_000.0, max_batch=2)
-        with QoRClient(*harness.address) as client:
-            results = client.predict_kernel("fir", fir_sweep)
-        # an enormous window would stall forever if max_batch didn't flush
-        assert results == fir_reference
-        assert harness.server.batcher.stats.batches >= 1
+        """A pass stops taking queued requests once it holds ``max_batch``
+        configurations, and never splits a request."""
+        harness = make_server(hold_first_pass=True, max_batch=2)
+        sizes = [1, 1, 1, 3, 1]  # the first request's pass is the held one
+        slices, offset = [], 0
+        for size in sizes:
+            slices.append((offset, offset + size))
+            offset += size
+        with socket.create_connection(harness.address, timeout=30) as sock:
+            handle = sock.makefile("rb")
+            for request_id, (begin, end) in enumerate(slices):
+                sock.sendall(encode_message({
+                    "type": "predict", "id": request_id, "kernel": "fir",
+                    "configs": [config_to_payload(c) for c in fir_sweep[begin:end]],
+                }))
+                # queue the requests one at a time, in order, behind the
+                # first one's held pass
+                assert harness.wait_until(
+                    lambda end=end: harness.server._pending_configs == end
+                )
+                assert harness.gate.held.wait(timeout=30)
+            harness.gate.release()
+            responses = [decode_message(handle.readline()) for _ in slices]
+        for response in responses:
+            begin, end = slices[response["id"]]
+            assert response["results"] == fir_reference[begin:end]
+        stats = harness.server.batcher.stats
+        # held [1], then [1, 1] (full), [3] (full, unsplit), [1]
+        assert stats.batches == 4
+        assert stats.batch_size_histogram == {1: 2, 2: 1, 3: 1}
 
 
 class TestBatchInvariance:
@@ -252,14 +289,20 @@ class TestBatchInvariance:
         assert alone_server.server.batcher.stats.coalesced_batches == 0
 
         shared_server = make_server(
-            predictor=QoRPredictor.load(gemm_model_path), batch_window_ms=250.0
+            predictor=QoRPredictor.load(gemm_model_path), hold_first_pass=True
         )
         shared: dict[int, dict] = {}
-        barrier = threading.Barrier(len(configs))
+
+        def hold() -> None:
+            with QoRClient(*shared_server.address) as client:
+                client.predict_kernel("gemm", [None])
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert shared_server.gate.held.wait(timeout=30)
 
         def send(index: int) -> None:
             with QoRClient(*shared_server.address) as client:
-                barrier.wait(timeout=30)
                 shared[index] = client.predict_kernel("gemm", [configs[index]])[0]
 
         threads = [
@@ -268,9 +311,16 @@ class TestBatchInvariance:
         ]
         for thread in threads:
             thread.start()
-        for thread in threads:
+        # all twelve queue behind the held pass, so they share the next one
+        assert shared_server.wait_until(
+            lambda: shared_server.server._pending_configs == 1 + len(configs)
+        )
+        shared_server.gate.release()
+        for thread in threads + [holder]:
             thread.join(timeout=120)
-        assert shared_server.server.batcher.stats.coalesced_batches >= 1
+        stats = shared_server.server.batcher.stats
+        assert stats.batch_size_histogram == {1: 1, len(configs): 1}
+        assert stats.coalesced_batches == 1
         assert len(shared) == len(configs)
         for index, row in enumerate(alone):
             assert {name: value.hex() for name, value in shared[index].items()} == {
@@ -280,11 +330,11 @@ class TestBatchInvariance:
 
 class TestAdmissionControl:
     def test_overload_rejected_with_structured_error(
-        self, make_server, fir_sweep
+        self, make_server, fir_sweep, fir_reference
     ):
-        # window long enough that the first request is still pending when
-        # the second arrives; capacity only fits the first
-        harness = make_server(batch_window_ms=2_000.0, max_pending=len(fir_sweep))
+        # the first request's pass is held, so its configurations stay
+        # pending while the second arrives; capacity only fits the first
+        harness = make_server(hold_first_pass=True, max_pending=len(fir_sweep))
         first_result: list = []
 
         def first() -> None:
@@ -293,12 +343,8 @@ class TestAdmissionControl:
 
         thread = threading.Thread(target=first)
         thread.start()
-        # wait until the first request is admitted (pending counter visible)
-        for _ in range(500):
-            if harness.server._pending_configs >= len(fir_sweep):
-                break
-            threading.Event().wait(0.01)
-        assert harness.server._pending_configs >= len(fir_sweep)
+        assert harness.gate.held.wait(timeout=30)
+        assert harness.server._pending_configs == len(fir_sweep)
         # request_attempts=1: this test asserts the rejection itself, not
         # the client's (default) retry-on-overload policy
         with QoRClient(*harness.address, request_attempts=1) as client:
@@ -306,9 +352,10 @@ class TestAdmissionControl:
                 client.predict_kernel("fir", [fir_sweep[0]])
             assert excinfo.value.code == "overloaded"
             assert "retry" in excinfo.value.detail
+        harness.gate.release()
         thread.join(timeout=120)
         # the admitted request was unaffected by the rejection
-        assert first_result and len(first_result[0]) == len(fir_sweep)
+        assert first_result == [fir_reference]
         assert harness.server.rejected_overload == 1
         assert harness.server._pending_configs == 0
 
@@ -317,7 +364,7 @@ class TestDrain:
     def test_drain_completes_inflight_and_rejects_new(
         self, make_server, fir_sweep, fir_reference
     ):
-        harness = make_server(batch_window_ms=500.0)
+        harness = make_server(hold_first_pass=True)
         inflight_result: list = []
 
         def inflight() -> None:
@@ -326,25 +373,21 @@ class TestDrain:
 
         thread = threading.Thread(target=inflight)
         thread.start()
-        for _ in range(500):
-            if harness.server._pending_configs >= len(fir_sweep):
-                break
-            threading.Event().wait(0.01)
-        assert harness.server._pending_configs >= len(fir_sweep)
+        assert harness.gate.held.wait(timeout=30)
+        assert harness.server._pending_configs == len(fir_sweep)
 
-        # flip into draining mode while the request is still in the window
+        # flip into draining mode while the request's pass is held
         rejected = QoRClient(*harness.address, request_attempts=1)
         harness.call_soon(lambda: setattr(harness.server, "_draining", True))
-        for _ in range(100):
-            if harness.server._draining:
-                break
-            threading.Event().wait(0.01)
+        assert harness.wait_until(lambda: harness.server._draining)
         with pytest.raises(ServeError) as excinfo:
             rejected.predict_kernel("fir", [fir_sweep[0]])
         assert excinfo.value.code == "draining"
         rejected.close()
+        assert harness.server._pending_configs == len(fir_sweep)
 
         # the in-flight request still completes, correctly
+        harness.gate.release()
         thread.join(timeout=120)
         assert inflight_result == [fir_reference]
         assert harness.server.rejected_draining == 1

@@ -107,7 +107,6 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--model", "m.npz"])
         assert args.host == "127.0.0.1"
         assert args.port == 0
-        assert args.batch_window_ms == 2.0
         assert args.max_batch == 512
         assert args.max_pending == 4096
         assert args.precision == "float64"
@@ -122,8 +121,6 @@ class TestParser:
             main(["serve", "--model", "m.npz", "--max-batch", "0"])
         with pytest.raises(SystemExit, match="--max-pending"):
             main(["serve", "--model", "m.npz", "--max-pending", "0"])
-        with pytest.raises(SystemExit, match="--batch-window-ms"):
-            main(["serve", "--model", "m.npz", "--batch-window-ms", "-1"])
         with pytest.raises(SystemExit, match="--idle-timeout"):
             main(["serve", "--model", "m.npz", "--idle-timeout", "-1"])
         with pytest.raises(SystemExit, match="--max-line-bytes"):
